@@ -16,15 +16,12 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import statistics
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from . import bd as bd_metrics
 from . import dataset, harness, pacer, quality
-from . import report as report_mod
 from .curves import load_curve_csv, save_curve_csv
 from .errors import (
     ComputationError,
@@ -65,14 +62,6 @@ def _configure_logging(verbosity: int) -> None:
     if env:
         level = getattr(logging, env.upper(), level)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-
-
-def _parse_fps(text: str) -> tuple[int, int]:
-    num, _, den = text.partition("/")
-    try:
-        return int(num), int(den or "1")
-    except ValueError:
-        raise ConfigError(f"cannot parse frame rate {text!r} (expected N or N/D)") from None
 
 
 def _parse_only(text: str | None) -> dict[str, str]:
@@ -196,7 +185,7 @@ def cmd_pace(args, opts: GlobalOptions) -> int:
         raise ConfigError(f"sequence '{args.seq}' is not in the manifest")
     seq = matches[0]
     fps_num, fps_den = (
-        _parse_fps(args.fps_override) if args.fps_override else (seq.fps_num, seq.fps_den)
+        dataset._parse_fps(args.fps_override) if args.fps_override else (seq.fps_num, seq.fps_den)
     )
 
     to_stdout = args.out == "-"
@@ -217,18 +206,28 @@ def cmd_pace(args, opts: GlobalOptions) -> int:
         elif not sink.closed:
             sink.close()
 
-    lateness = np.asarray(report.lateness_per_frame)
+    lateness = report.lateness_per_frame
     summary = "\n".join([
         f"frames sent:      {report.frames_sent}",
         f"duration:         {report.total_duration_s:.6f} s",
         f"delivery rate:    {report.delivery_fps:.3f} fps (target {fps_num / fps_den:.3f})",
-        f"lateness mean:    {lateness.mean() * 1e3:.3f} ms",
-        f"lateness p99:     {np.percentile(lateness, 99) * 1e3:.3f} ms",
-        f"lateness max:     {lateness.max() * 1e3:.3f} ms",
+        f"lateness mean:    {statistics.fmean(lateness) * 1e3:.3f} ms",
+        f"lateness p99:     {_percentile(lateness, 99) * 1e3:.3f} ms",
+        f"lateness max:     {report.max_lateness_s * 1e3:.3f} ms",
         f"blocked in write: {report.blocked_time_s:.6f} s",
     ])
     print(summary, file=sys.stderr if to_stdout else sys.stdout)
     return EXIT_OK
+
+
+def _percentile(values, q: float) -> float:
+    """numpy.percentile's default (linear) estimate, rounded the same way."""
+    ordered = sorted(values)
+    position = (len(ordered) - 1) * (q / 100)
+    below = int(position)
+    a, b = ordered[below], ordered[min(below + 1, len(ordered) - 1)]
+    t = position - below
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def cmd_bench(args, opts: GlobalOptions) -> int:
@@ -258,6 +257,7 @@ def cmd_bench(args, opts: GlobalOptions) -> int:
 
 
 def cmd_bd(args, opts: GlobalOptions) -> int:
+    from . import bd as bd_metrics  # numpy loads only for bd and report
     ref = load_curve_csv(args.ref)
     test = load_curve_csv(args.test)
     if args.kind == "rate":
@@ -295,6 +295,7 @@ def _select_runs(
 
 
 def cmd_report(args, opts: GlobalOptions) -> int:
+    from . import report as report_mod
     sequences = _require_manifest(opts)
     runs_dir: Path = args.runs
     record_paths = sorted(

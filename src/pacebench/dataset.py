@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
 from .errors import (
+    ConfigError,
     InvalidGeometryError,
     ManifestError,
     TruncationError,
@@ -204,6 +205,14 @@ def build_y4m_header(width: int, height: int, fps_num: int, fps_den: int,
     return b"YUV4MPEG2 W%d H%d F%d:%d Ip A1:1 C%s\n" % (
         width, height, fps_num, fps_den, colorspace.encode("ascii"),
     )
+
+
+def _parse_fps(text: str) -> tuple[int, int]:
+    num, _, den = text.partition("/")
+    try:
+        return int(num), int(den or "1")
+    except ValueError:
+        raise ConfigError(f"cannot parse frame rate {text!r} (expected N or N/D)") from None
 
 
 def _read_exact(stream: BinaryIO, n: int) -> bytes | None:

@@ -96,6 +96,18 @@ def _count_placeholders(tokens: Sequence[str]) -> dict[str, int]:
     return counts
 
 
+def _sequence_values(seq: VideoSequence) -> dict[str, str]:
+    """Placeholders shared by both templates; {fps} is "num" or "num/den"."""
+    fps = str(seq.fps_num) if seq.fps_den == 1 else f"{seq.fps_num}/{seq.fps_den}"
+    return {
+        "width": str(seq.width),
+        "height": str(seq.height),
+        "fps_num": str(seq.fps_num),
+        "fps_den": str(seq.fps_den),
+        "fps": fps,
+    }
+
+
 def _substitute_tokens(tokens: Sequence[str], values: Mapping[str, str], context: str) -> list[str]:
     def replace(match: re.Match) -> str:
         name = match.group(1)
@@ -175,17 +187,9 @@ def render_command(
 ) -> list[str]:
     """Substitute every placeholder in the profile's template.
 
-    {fps} renders as an integer when the denominator is 1, else "num/den".
     For piped input modes {input} renders "-" unless a path is given.
     """
-    values = {
-        "bitrate_kbps": _format_number(bitrate_kbps),
-        "fps_num": str(seq.fps_num),
-        "fps_den": str(seq.fps_den),
-        "fps": str(seq.fps_num) if seq.fps_den == 1 else f"{seq.fps_num}/{seq.fps_den}",
-        "width": str(seq.width),
-        "height": str(seq.height),
-    }
+    values = {"bitrate_kbps": _format_number(bitrate_kbps), **_sequence_values(seq)}
     if input_path is not None:
         values["input"] = str(input_path)
     elif profile.input_mode is not InputMode.FILE:
@@ -643,12 +647,8 @@ def run_metric_tool(
     values = {
         "reference": str(reference),
         "distorted": str(distorted),
-        "width": str(seq.width),
-        "height": str(seq.height),
-        "fps": str(seq.fps_num) if seq.fps_den == 1 else f"{seq.fps_num}/{seq.fps_den}",
-        "fps_num": str(seq.fps_num),
-        "fps_den": str(seq.fps_den),
         "report_out": str(report_out),
+        **_sequence_values(seq),
     }
     cmd = _substitute_tokens(command_template, values, "metric command")
     try:

@@ -21,24 +21,7 @@ import argparse
 import sys
 import time
 
-
-def _parse_fps(text: str) -> tuple[int, int]:
-    num, _, den = text.partition("/")
-    return int(num), int(den or "1")
-
-
-def _read_exact(stream, n: int) -> bytes | None:
-    chunks = []
-    got = 0
-    while got < n:
-        piece = stream.read(n - got)
-        if not piece:
-            break
-        chunks.append(piece)
-        got += len(piece)
-    if not chunks:
-        return None
-    return b"".join(chunks)
+from .dataset import _parse_fps, _read_exact
 
 
 def main(argv=None) -> int:

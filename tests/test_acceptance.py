@@ -186,7 +186,7 @@ def _random_monotone_pair(rng):
 def test_criterion_04_randomized_property_suite():
     with criterion(4, "randomized curve-pair properties"):
         rng = np.random.default_rng(20260809)
-        for _ in range(200):
+        for pair_index in range(200):
             test, ref, ratio = _random_monotone_pair(rng)
 
             # rate-unit invariance within 1e-9
@@ -194,27 +194,27 @@ def test_criterion_04_randomized_property_suite():
             scaled_test = RateQualityCurve(tuple((scale * r, q) for r, q in test.points))
             scaled_ref = RateQualityCurve(tuple((scale * r, q) for r, q in ref.points))
             for method in ("paper_area", "log_domain"):
-                baseline = bd_rate(test, ref, method, initial_panels=2000).value
-                scaled = bd_rate(scaled_test, scaled_ref, method, initial_panels=2000).value
+                baseline = bd_rate(test, ref, method).value
+                scaled = bd_rate(scaled_test, scaled_ref, method).value
                 assert abs(scaled - baseline) < 1e-9
-            baseline = bd_quality(test, ref, "log", initial_panels=2000).value
-            scaled = bd_quality(scaled_test, scaled_ref, "log", initial_panels=2000).value
+            baseline = bd_quality(test, ref, "log").value
+            scaled = bd_quality(scaled_test, scaled_ref, "log").value
             assert abs(scaled - baseline) < 1e-9
 
-            # quadrature halving-step stability within 1e-7
-            for method in ("paper_area", "log_domain"):
-                coarse = bd_rate(test, ref, method, initial_panels=2000).value
-                fine = bd_rate(test, ref, method, initial_panels=4000).value
-                assert abs(fine - coarse) < 1e-7
-            for domain in ("linear", "log"):
-                coarse = bd_quality(test, ref, domain, initial_panels=2000).value
-                fine = bd_quality(test, ref, domain, initial_panels=4000).value
-                assert abs(fine - coarse) < 1e-7
+            # every variant within 1e-7 of a 2e5-panel trapezoid over the
+            # interpolant, on every tenth pair (the oracle is the slow part)
+            if pair_index % 10 == 0:
+                for method in ("paper_area", "log_domain"):
+                    oracle = _trapezoid_bd_rate(test, ref, method, panels=2 * 10**5)
+                    assert abs(bd_rate(test, ref, method).value - oracle) < 1e-7
+                for domain in ("linear", "log"):
+                    oracle = _trapezoid_bd_quality(test, ref, domain, panels=2 * 10**5)
+                    assert abs(bd_quality(test, ref, domain).value - oracle) < 1e-7
 
             # sign antisymmetry under strict dominance (constant ratio, same knots)
             dominance = RateQualityCurve(tuple((ratio * r, q) for r, q in ref.points))
-            forward = bd_rate(dominance, ref, initial_panels=2000).value
-            backward = bd_rate(ref, dominance, initial_panels=2000).value
+            forward = bd_rate(dominance, ref).value
+            backward = bd_rate(ref, dominance).value
             assert forward != 0 and backward != 0
             assert np.sign(forward) == -np.sign(backward)
 

@@ -33,7 +33,7 @@ def synthetic_curve(n=8, lo_q=30.0, hi_q=65.0, base_rate=800.0, label="synth"):
 
 
 # Independent oracle: dense trapezoid integration over the same interpolant
-# (the package's interpolate()), never the package's Simpson machinery.
+# (the package's interpolate()), never the package's quadrature.
 
 def trapezoid_bd_rate(test, ref, method, panels=10**6):
     t, r = prune_monotone(test), prune_monotone(ref)
@@ -150,6 +150,27 @@ class TestInterpolate:
         with pytest.raises(ExtrapolationError):
             interpolate(curve, "rate", curve.rate_range[0] - 1)
 
+    @pytest.mark.parametrize(
+        "rates, qualities",
+        [
+            ([1000, 2000], [50, 70]),
+            ([500, 900, 4000], [30, 41, 60]),
+            ([1000, 1010, 9000], [30, 50, 60]),  # an end slope floors at zero
+            ([200, 210, 800, 5000, 5100, 9000], [20, 22, 45, 70, 71, 90]),
+        ],
+        ids=["two-knot", "three-knot", "flat-end", "uneven"],
+    )
+    def test_matches_scipy_pchip(self, rates, qualities):
+        scipy_interpolate = pytest.importorskip("scipy.interpolate")
+        pchip = scipy_interpolate.PchipInterpolator
+        curve = make_curve(rates, qualities)
+        qs = np.linspace(qualities[0], qualities[-1], 1001)
+        expected = 10.0 ** pchip(qualities, np.log10(rates))(qs)
+        np.testing.assert_allclose(interpolate(curve, "quality", qs), expected, rtol=1e-12)
+        rs = np.linspace(rates[0], rates[-1], 1001)
+        expected = pchip(rates, qualities)(rs)
+        np.testing.assert_allclose(interpolate(curve, "rate", rs), expected, rtol=1e-12)
+
     def test_non_monotone_curve_rejected(self):
         curve = make_curve([1, 2, 3], [10, 20, 15])
         with pytest.raises(DegenerateCurveError, match="prune"):
@@ -258,20 +279,30 @@ class TestCrossCuttingProperties:
                 bd_quality(test, ref, "log").value, abs=1e-9
             )
 
-    def test_quadrature_stable_under_panel_doubling(self):
+    def test_every_variant_within_1e7_of_dense_trapezoid(self):
         ref = synthetic_curve(label="ref")
         test = make_curve(
             [r * (0.75 + 0.03 * i) for i, r in enumerate(ref.rates)],
             [q + 2 for q in ref.qualities],
         )
         for method in ("paper_area", "log_domain"):
-            coarse = bd_rate(test, ref, method, initial_panels=2000).value
-            fine = bd_rate(test, ref, method, initial_panels=4000).value
-            assert abs(fine - coarse) < 1e-7
+            oracle = trapezoid_bd_rate(test, ref, method)
+            assert abs(bd_rate(test, ref, method).value - oracle) < 1e-7
         for domain in ("linear", "log"):
-            coarse = bd_quality(test, ref, domain, initial_panels=2000).value
-            fine = bd_quality(test, ref, domain, initial_panels=4000).value
-            assert abs(fine - coarse) < 1e-7
+            oracle = trapezoid_bd_quality(test, ref, domain)
+            assert abs(bd_quality(test, ref, domain).value - oracle) < 1e-7
+
+    def test_sparse_knots_spanning_decades(self):
+        # Knots two to four decades of rate apart: each piece of the
+        # interpolant is steep, the hardest case for a fixed-order rule.
+        ref = make_curve([100.0, 1e6], [20.0, 80.0], "ref")
+        test = make_curve([300.0, 40.0e3, 2e6], [25.0, 60.0, 90.0], "test")
+        for method in ("paper_area", "log_domain"):
+            oracle = trapezoid_bd_rate(test, ref, method)
+            assert bd_rate(test, ref, method).value == pytest.approx(oracle, abs=1e-6)
+        for domain in ("linear", "log"):
+            oracle = trapezoid_bd_quality(test, ref, domain)
+            assert bd_quality(test, ref, domain).value == pytest.approx(oracle, abs=1e-6)
 
     def test_sign_antisymmetry_under_dominance(self):
         ref = synthetic_curve(label="ref")

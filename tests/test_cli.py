@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pacebench.cli import dispatch
+import pacebench
+from pacebench.cli import _percentile, dispatch
 from pacebench.curves import RateQualityCurve, save_curve_csv
 from pacebench.ioutil import atomic_write_text
 
@@ -137,6 +143,22 @@ class TestPaceCommand:
         ])
         assert code == 0  # 4 frames at 1 fps would take 3 s; override keeps it fast
 
+    def test_bad_fps_override_exits_two(self, tmp_path, capsys):
+        seq = make_sequence(frame_count=2, path=tmp_path / "src.yuv")
+        write_raw_source(seq.path, seq)
+        manifest = _write_manifest(tmp_path, [seq])
+        code = dispatch([
+            "--manifest", str(manifest), "pace", "--input", str(seq.path),
+            "--seq", "SY25", "--fps-override", "fast", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert "error: config: cannot parse frame rate 'fast'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 101, 1000, 1501])
+    def test_p99_equals_numpy_percentile(self, n):
+        lateness = list(np.random.default_rng(n).exponential(1e-3, n))
+        assert _percentile(lateness, 99) == np.percentile(lateness, 99)
+
     def test_unknown_sequence(self, tmp_path, capsys):
         seq = make_sequence(frame_count=5, path=tmp_path / "src.yuv")
         write_raw_source(seq.path, seq)
@@ -204,3 +226,12 @@ class TestAtomicWrites:
         target = tmp_path / "a" / "b" / "doc.md"
         atomic_write_text(target, "x")
         assert target.read_text() == "x"
+
+
+def test_import_loads_no_numeric_stack():
+    code = "import sys, pacebench.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    src = str(Path(pacebench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
