@@ -29,6 +29,7 @@ from .errors import (
     EncoderRunError,
     PacebenchError,
 )
+from .framerate import parse_fps
 from .harness import QUALITY_SUFFIX, RECORD_SUFFIX, RunMode, RunRecord
 from .ioutil import atomic_write_text
 
@@ -185,7 +186,7 @@ def cmd_pace(args, opts: GlobalOptions) -> int:
         raise ConfigError(f"sequence '{args.seq}' is not in the manifest")
     seq = matches[0]
     fps_num, fps_den = (
-        dataset._parse_fps(args.fps_override) if args.fps_override else (seq.fps_num, seq.fps_den)
+        parse_fps(args.fps_override) if args.fps_override else (seq.fps_num, seq.fps_den)
     )
 
     to_stdout = args.out == "-"

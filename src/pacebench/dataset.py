@@ -1,4 +1,4 @@
-"""Raw video sources: geometry arithmetic, Y4M headers, frame readers, manifest.
+"""Raw video sources: geometry arithmetic, Y4M headers, frame layout, readers, manifest.
 
 Supports exactly one sample layout, 8-bit planar I420, which is what the
 uncompressed 1080p test clips use. Headerless ``.yuv`` files take their
@@ -9,6 +9,8 @@ must agree with the manifest entry or loading fails.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -207,102 +209,38 @@ def build_y4m_header(width: int, height: int, fps_num: int, fps_den: int,
     )
 
 
-def _parse_fps(text: str) -> tuple[int, int]:
-    num, _, den = text.partition("/")
-    try:
-        return int(num), int(den or "1")
-    except ValueError:
-        raise ConfigError(f"cannot parse frame rate {text!r} (expected N or N/D)") from None
+class SourceFile:
+    """A regular source file opened for positional reads.
 
-
-def _read_exact(stream: BinaryIO, n: int) -> bytes | None:
-    """Read exactly n bytes; None on clean EOF, a short result on truncation."""
-    chunks = []
-    got = 0
-    while got < n:
-        piece = stream.read(n - got)
-        if not piece:
-            break
-        chunks.append(piece)
-        got += len(piece)
-    if not chunks:
-        return None
-    return b"".join(chunks)
-
-
-class _FrameReaderBase:
-    """Sequential single-consumer frame reader.
-
-    Yields exactly ``sequence.frame_count`` frames, then end-of-stream;
-    a source that ends earlier raises TruncationError reporting how many
-    complete frames were read.
+    ``frame_ranges()`` is the one validator of a source's layout: it yields
+    the (offset, length) of each frame's payload and raises TruncationError
+    or Y4mParseError at the first frame the file cannot supply. Y4M header
+    errors and manifest disagreements are raised on opening. A non-regular
+    file (a FIFO, a terminal) is refused, since frames are read by offset.
     """
 
-    def __init__(self, stream: BinaryIO, sequence: VideoSequence):
-        self._stream = stream
+    def __init__(self, path: str | Path, sequence: VideoSequence):
+        path = Path(path)
         self.sequence = sequence
-        self.frames_read = 0
+        # O_NONBLOCK: opening a FIFO that has no writer must not hang
+        self.fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            st = os.fstat(self.fd)
+            if not stat.S_ISREG(st.st_mode):
+                raise ConfigError(f"{path}: frame source must be a regular file")
+            os.set_blocking(self.fd, True)
+            self.size = st.st_size
+            self.header = None
+            self.payload_start = 0
+            if path.suffix.lower() == ".y4m":
+                self._read_header()
+        except BaseException:
+            os.close(self.fd)
+            raise
 
-    def read_frame(self) -> FrameBuffer | None:
+    def _read_header(self) -> None:
+        hdr, self.payload_start = parse_y4m_header(os.pread(self.fd, _MAX_HEADER_LINE, 0))
         seq = self.sequence
-        if self.frames_read >= seq.frame_count:
-            return None
-        payload = self._read_payload()
-        if payload is None:
-            raise TruncationError(
-                f"{seq.short_name}: source ended after {self.frames_read} of "
-                f"{seq.frame_count} frames",
-                frames_read=self.frames_read,
-            )
-        if len(payload) != seq.frame_bytes:
-            raise TruncationError(
-                f"{seq.short_name}: truncated frame after {self.frames_read} complete "
-                f"frames (got {len(payload)} of {seq.frame_bytes} bytes)",
-                frames_read=self.frames_read,
-            )
-        self.frames_read += 1
-        return FrameBuffer(payload, seq.width, seq.height, seq.pixel_format)
-
-    def _read_payload(self) -> bytes | None:
-        raise NotImplementedError
-
-    def __iter__(self) -> Iterator[FrameBuffer]:
-        while (frame := self.read_frame()) is not None:
-            yield frame
-
-    def close(self) -> None:
-        self._stream.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-
-class RawYuvFrameReader(_FrameReaderBase):
-    """Headerless planar YUV: geometry comes entirely from the manifest."""
-
-    def _read_payload(self) -> bytes | None:
-        return _read_exact(self._stream, self.sequence.frame_bytes)
-
-
-class Y4mFrameReader(_FrameReaderBase):
-    """Y4M container: parses the stream header and per-frame FRAME markers."""
-
-    def __init__(self, stream: BinaryIO, sequence: VideoSequence):
-        super().__init__(stream, sequence)
-        line = stream.readline(_MAX_HEADER_LINE)
-        if not line.endswith(b"\n"):
-            if line[: len(Y4M_MAGIC)] != Y4M_MAGIC:
-                raise Y4mParseError("missing YUV4MPEG2 magic")
-            raise Y4mParseError("missing end-of-header newline")
-        self.header = _parse_header_fields(line)
-        self._check_against_manifest()
-
-    def _check_against_manifest(self) -> None:
-        hdr, seq = self.header, self.sequence
         if (hdr.width, hdr.height) != (seq.width, seq.height):
             raise ManifestError(
                 f"{seq.short_name}: Y4M geometry {hdr.width}x{hdr.height} disagrees "
@@ -313,37 +251,106 @@ class Y4mFrameReader(_FrameReaderBase):
                 f"{seq.short_name}: Y4M rate {hdr.fps_num}/{hdr.fps_den} disagrees "
                 f"with manifest {seq.fps_num}/{seq.fps_den}"
             )
+        self.header = hdr
 
-    def _read_payload(self) -> bytes | None:
-        line = self._stream.readline(_MAX_FRAME_LINE)
-        if line == b"":
-            return None
+    def frame_ranges(self) -> Iterator[tuple[int, int]]:
+        """(offset, length) of each of ``sequence.frame_count`` payloads, checked lazily."""
+        seq = self.sequence
+        length = seq.frame_bytes
+        offset = self.payload_start
+        for k in range(seq.frame_count):
+            if self.header is not None and offset < self.size:
+                offset = self._skip_marker(offset, k)
+            available = self.size - offset
+            if available <= 0:
+                raise TruncationError(
+                    f"{seq.short_name}: source ended after {k} of "
+                    f"{seq.frame_count} frames",
+                    frames_read=k,
+                )
+            if available < length:
+                raise TruncationError(
+                    f"{seq.short_name}: truncated frame after {k} complete "
+                    f"frames (got {available} of {length} bytes)",
+                    frames_read=k,
+                )
+            yield offset, length
+            offset += length
+
+    def _skip_marker(self, offset: int, k: int) -> int:
+        """Check frame k's FRAME line at ``offset``; returns its payload's offset."""
+        line = os.pread(self.fd, _MAX_FRAME_LINE, offset)
         if not line.startswith(Y4M_FRAME_MARKER) or (
             line[len(Y4M_FRAME_MARKER):][:1] not in (b"\n", b" ", b"\r")
         ):
-            raise Y4mParseError(
-                f"expected FRAME marker at frame {self.frames_read}, got {line[:16]!r}"
-            )
-        if not line.endswith(b"\n"):
+            raise Y4mParseError(f"expected FRAME marker at frame {k}, got {line[:16]!r}")
+        end = line.find(b"\n")
+        if end < 0:
             raise TruncationError(
                 f"{self.sequence.short_name}: unterminated FRAME line after "
-                f"{self.frames_read} complete frames",
+                f"{k} complete frames",
+                frames_read=k,
+            )
+        return offset + end + 1
+
+    def close(self) -> None:
+        if self.fd >= 0:
+            os.close(self.fd)
+            self.fd = -1
+
+
+class FrameReader:
+    """Sequential single-consumer frame reader over a SourceFile.
+
+    Yields exactly ``sequence.frame_count`` frames, then end-of-stream;
+    a source that ends earlier raises TruncationError reporting how many
+    complete frames were read.
+    """
+
+    def __init__(self, source: SourceFile):
+        self._source = source
+        self._ranges = source.frame_ranges()
+        self.sequence = source.sequence
+        self.frames_read = 0
+
+    def read_frame(self) -> FrameBuffer | None:
+        span = next(self._ranges, None)
+        if span is None:
+            return None
+        offset, length = span
+        payload = os.pread(self._source.fd, length, offset)
+        seq = self.sequence
+        if len(payload) != length:  # the file shrank after it was checked
+            raise TruncationError(
+                f"{seq.short_name}: truncated frame after {self.frames_read} complete "
+                f"frames (got {len(payload)} of {length} bytes)",
                 frames_read=self.frames_read,
             )
-        return _read_exact(self._stream, self.sequence.frame_bytes)
+        self.frames_read += 1
+        return FrameBuffer(payload, seq.width, seq.height, seq.pixel_format)
+
+    def __iter__(self) -> Iterator[FrameBuffer]:
+        while (frame := self.read_frame()) is not None:
+            yield frame
+
+    def close(self) -> None:
+        self._source.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
 
 
-def open_frame_reader(path: str | Path, sequence: VideoSequence) -> _FrameReaderBase:
-    """Open a source file with the reader matching its container."""
-    path = Path(path)
-    stream = open(path, "rb")
-    try:
-        if path.suffix.lower() == ".y4m":
-            return Y4mFrameReader(stream, sequence)
-        return RawYuvFrameReader(stream, sequence)
-    except BaseException:
-        stream.close()
-        raise
+# The container is told apart by SourceFile, so both names are one reader.
+RawYuvFrameReader = Y4mFrameReader = FrameReader
+
+
+def open_frame_reader(path: str | Path, sequence: VideoSequence) -> FrameReader:
+    """Open a regular source file with the reader matching its container."""
+    return FrameReader(SourceFile(path, sequence))
 
 
 def write_frames_raw(frames: Iterable[FrameBuffer], sink: BinaryIO) -> int:

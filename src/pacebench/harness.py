@@ -5,6 +5,15 @@ streams frames as fast as the encoder consumes them (its maximum speed),
 ``paced`` delivers them through the pacer at the capture rate (the
 real-time condition).
 
+Feeding: piped encoders read from a regular source file, opened and
+validated (``dataset.SourceFile``) before the child starts. Each frame is
+one ``pacer.write_all`` of a ``FileSpan``: any Y4M stream header and bare
+``FRAME`` line are written from Python, and the payload moves from the page
+cache into the child's stdin with ``os.sendfile``, so frame data never
+enters Python. The stdin pipe is enlarged with ``F_SETPIPE_SZ`` to the
+smaller of 1 MiB and ``/proc/sys/fs/pipe-max-size`` (the default stays if
+that fails). sendfile into a pipe and ``F_SETPIPE_SZ`` are Linux-only.
+
 Deadlock contract: the child's stdout and stderr are drained on their own
 threads, concurrently with stdin feeding. Without this, a full output pipe
 blocks the child while we block writing its input.
@@ -13,6 +22,7 @@ blocks the child while we block writing its input.
 from __future__ import annotations
 
 import csv
+import fcntl
 import io
 import json
 import logging
@@ -29,7 +39,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import pacer
-from .dataset import VideoSequence, Y4M_FRAME_MARKER, build_y4m_header, open_frame_reader
+from .dataset import SourceFile, VideoSequence, Y4M_FRAME_MARKER, build_y4m_header
+from .dataset import open_frame_reader  # noqa: F401  (perfbench's tracer patches this name)
 from .errors import (
     ConfigError,
     DeliveryAbortedError,
@@ -39,7 +50,7 @@ from .errors import (
     TemplateError,
 )
 from .ioutil import atomic_write_text
-from .pacer import PacingReport, write_all
+from .pacer import FileSpan, PacingReport, write_all
 
 log = logging.getLogger(__name__)
 
@@ -63,6 +74,7 @@ class RunMode(str, Enum):
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 _STDERR_TAIL_LIMIT = 65536
 _DRAIN_CHUNK = 65536
+_STDIN_PIPE_BYTES = 1 << 20
 
 RUNS_CSV_COLUMNS = (
     "profile",
@@ -308,21 +320,29 @@ class _Drain(threading.Thread):
         return self._tail.decode("utf-8", "replace")
 
 
-def _frame_chunks(reader, input_mode: InputMode) -> Iterator[bytes]:
-    """One bytes chunk per frame, framed per the encoder's input mode."""
+def _frame_spans(source: SourceFile, input_mode: InputMode) -> Iterator[FileSpan]:
+    """One span per frame, framed per the encoder's input mode.
+
+    For stdin_y4m each payload follows a bare FRAME line (a source marker's
+    parameters are not forwarded), and the first also the stream header.
+    """
+    marker = first = b""
     if input_mode is InputMode.STDIN_Y4M:
-        seq = reader.sequence
-        header = build_y4m_header(seq.width, seq.height, seq.fps_num, seq.fps_den)
-        first = True
-        for frame in reader:
-            chunk = Y4M_FRAME_MARKER + b"\n" + frame.payload
-            if first:
-                chunk = header + chunk
-                first = False
-            yield chunk
-    else:
-        for frame in reader:
-            yield frame.payload
+        seq = source.sequence
+        marker = Y4M_FRAME_MARKER + b"\n"
+        first = build_y4m_header(seq.width, seq.height, seq.fps_num, seq.fps_den) + marker
+    for k, (offset, length) in enumerate(source.frame_ranges()):
+        yield FileSpan(source.fd, offset, length, first if k == 0 else marker, k)
+
+
+def _enlarge_pipe(fd: int) -> None:
+    """Grow a pipe to 1 MiB, or to the system's pipe-max-size where that is lower."""
+    try:
+        with open("/proc/sys/fs/pipe-max-size", "rb") as fh:
+            size = min(_STDIN_PIPE_BYTES, int(fh.read()))
+        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, size)
+    except (OSError, ValueError):
+        pass  # the default size still works, only with more round trips
 
 
 def run_unpaced(
@@ -365,21 +385,24 @@ def _run(profile, seq, bitrate_kbps, mode, source_path, output_path) -> RunRecor
     if source is None:
         raise ConfigError(f"{seq.short_name}: no source path given and none in the manifest")
 
+    source_file = SourceFile(source, seq) if profile.input_mode is not InputMode.FILE else None
     temp_output = None
-    if output_path is None and profile.output_mode is OutputMode.FILE:
-        fd, temp_output = tempfile.mkstemp(suffix=OUTPUT_SUFFIX, prefix="pacebench-")
-        os.close(fd)
-        output_path = temp_output
-    output_path = Path(output_path) if output_path else None
-
     try:
-        return _run_spawned(profile, seq, bitrate_kbps, mode, source, output_path)
+        if output_path is None and profile.output_mode is OutputMode.FILE:
+            fd, temp_output = tempfile.mkstemp(suffix=OUTPUT_SUFFIX, prefix="pacebench-")
+            os.close(fd)
+            output_path = temp_output
+        output_path = Path(output_path) if output_path else None
+        return _run_spawned(profile, seq, bitrate_kbps, mode, source, source_file, output_path)
     finally:
+        if source_file is not None:
+            source_file.close()
         if temp_output:
             _unlink_quietly(temp_output)
 
 
-def _run_spawned(profile, seq, bitrate_kbps, mode, source, output_path) -> RunRecord:
+def _run_spawned(profile, seq, bitrate_kbps, mode, source, source_file,
+                 output_path) -> RunRecord:
     cmd = render_command(
         profile,
         seq,
@@ -390,12 +413,11 @@ def _run_spawned(profile, seq, bitrate_kbps, mode, source, output_path) -> RunRe
     log.info("run %s %s %skbps %s: %s", profile.name, seq.short_name,
              _format_number(bitrate_kbps), mode.value, " ".join(cmd))
 
-    piped_input = profile.input_mode is not InputMode.FILE
     spawn_time = time.monotonic()
     try:
         child = subprocess.Popen(
             cmd,
-            stdin=subprocess.PIPE if piped_input else subprocess.DEVNULL,
+            stdin=subprocess.PIPE if source_file is not None else subprocess.DEVNULL,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             bufsize=0,
@@ -413,44 +435,41 @@ def _run_spawned(profile, seq, bitrate_kbps, mode, source, output_path) -> RunRe
     pacing_report: PacingReport | None = None
     feed_error: BaseException | None = None
     try:
-        if piped_input:
-            reader = open_frame_reader(source, seq)
-            try:
-                chunks = _frame_chunks(reader, profile.input_mode)
-                if mode is RunMode.PACED:
+        if source_file is not None:
+            _enlarge_pipe(child.stdin.fileno())
+            spans = _frame_spans(source_file, profile.input_mode)
+            if mode is RunMode.PACED:
+                try:
+                    pacing_report = pacer.run_paced(spans, child.stdin, seq.fps_num, seq.fps_den)
+                    frames_in = pacing_report.frames_sent
+                except DeliveryAbortedError as exc:
+                    pacing_report = exc.pacing_report
+                    frames_in = pacing_report.frames_sent if pacing_report else 0
+                    feed_error = exc
                     try:
-                        pacing_report = pacer.run_paced(
-                            chunks, child.stdin, seq.fps_num, seq.fps_den
-                        )
-                        frames_in = pacing_report.frames_sent
-                    except DeliveryAbortedError as exc:
-                        pacing_report = exc.pacing_report
-                        frames_in = pacing_report.frames_sent if pacing_report else 0
-                        feed_error = exc
-                        try:
-                            child.stdin.close()
-                        except OSError:
-                            pass
-                else:
-                    try:
-                        for chunk in chunks:
-                            write_all(child.stdin, chunk)
-                            frames_in += 1
                         child.stdin.close()
-                    except (BrokenPipeError, OSError) as exc:
-                        feed_error = exc
-                        try:
-                            child.stdin.close()
-                        except OSError:
-                            pass
-            finally:
-                reader.close()
+                    except OSError:
+                        pass
+            else:
+                try:
+                    for span in spans:
+                        write_all(child.stdin, span)
+                        frames_in += 1
+                    child.stdin.close()
+                except (BrokenPipeError, OSError) as exc:
+                    feed_error = exc
+                    try:
+                        child.stdin.close()
+                    except OSError:
+                        pass
         else:
             frames_in = seq.frame_count
         child.wait()
     except BaseException:
         child.kill()
         child.wait()
+        if child.stdin is not None:
+            child.stdin.close()
         raise
     finally:
         exit_time = time.monotonic()

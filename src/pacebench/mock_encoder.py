@@ -20,8 +20,24 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import BinaryIO
 
-from .dataset import _parse_fps, _read_exact
+from .framerate import parse_fps
+
+
+def _read_exact(stream: BinaryIO, n: int) -> bytes | None:
+    """Read exactly n bytes; None on clean EOF, a short result on truncation."""
+    chunks = []
+    got = 0
+    while got < n:
+        piece = stream.read(n - got)
+        if not piece:
+            break
+        chunks.append(piece)
+        got += len(piece)
+    if not chunks:
+        return None
+    return b"".join(chunks)
 
 
 def main(argv=None) -> int:
@@ -41,7 +57,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     frame_bytes = args.width * args.height * 3 // 2
-    fps_num, fps_den = _parse_fps(args.fps)
+    fps_num, fps_den = parse_fps(args.fps)
     per_frame_out = 0
     if args.kbps > 0 and args.emit_total_bytes is None:
         per_frame_out = round(args.kbps * 1000.0 / 8.0 * fps_den / fps_num)

@@ -8,11 +8,12 @@ as per-frame lateness and total blocked time, never as dropped frames.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
-from .errors import DeliveryAbortedError, InvalidInputError, InvalidRateError
+from .errors import DeliveryAbortedError, InvalidInputError, InvalidRateError, TruncationError
 
 # Sleep until this close to the deadline, then spin: OS wakeups overshoot by
 # more than the 1-2 ms precision needed at 50 fps.
@@ -112,7 +113,18 @@ def _sleep_until(deadline: float) -> None:
             return
 
 
-def write_all(sink: IO[bytes], data: bytes) -> None:
+class FileSpan(NamedTuple):
+    """Frame ``index`` as a sink receives it: ``prefix``, then ``length``
+    bytes at ``offset`` of the open regular file ``fd``."""
+
+    fd: int
+    offset: int
+    length: int
+    prefix: bytes
+    index: int
+
+
+def _write_bytes(sink: IO[bytes], data: bytes) -> None:
     # Raw (unbuffered) pipe writes may be short; loop until the chunk is out.
     view = memoryview(data)
     while view.nbytes:
@@ -122,8 +134,34 @@ def write_all(sink: IO[bytes], data: bytes) -> None:
         view = view[written:]
 
 
+def write_all(sink: IO[bytes], data: bytes | FileSpan) -> None:
+    """Write one frame chunk, or send one FileSpan, to the sink.
+
+    A span's payload moves from the file to the sink's descriptor inside the
+    kernel (``os.sendfile``; Linux, when the sink is a pipe). A file that
+    ends before the span does raises TruncationError instead of retrying.
+    """
+    if not isinstance(data, FileSpan):
+        _write_bytes(sink, data)
+        return
+    if data.prefix:
+        _write_bytes(sink, data.prefix)
+        sink.flush()
+    out = sink.fileno()
+    offset, end = data.offset, data.offset + data.length
+    while offset < end:
+        sent = os.sendfile(out, data.fd, offset, end - offset)
+        if not sent:
+            raise TruncationError(
+                f"source ended inside frame {data.index} "
+                f"({offset - data.offset} of {data.length} bytes sent)",
+                frames_read=data.index,
+            )
+        offset += sent
+
+
 def run_paced(
-    frames: Iterable[bytes],
+    frames: Iterable[bytes | FileSpan],
     sink: IO[bytes],
     fps_num: int,
     fps_den: int,
@@ -132,8 +170,9 @@ def run_paced(
 ) -> PacingReport:
     """Deliver each frame chunk no earlier than its absolute deadline.
 
-    The frame source yields one bytes chunk per frame (the pacer is
-    container-agnostic; any per-frame framing is the caller's business).
+    The frame source yields one bytes chunk or FileSpan per frame (the
+    pacer is container-agnostic; any per-frame framing is the caller's
+    business).
     The sink is closed after the final frame to signal end-of-stream unless
     ``close_sink`` is false. A consumer that disappears mid-stream raises
     DeliveryAbortedError carrying the partial report.

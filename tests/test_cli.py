@@ -153,6 +153,14 @@ class TestPaceCommand:
         ])
         assert code == 2
         assert "error: config: cannot parse frame rate 'fast'" in capsys.readouterr().err
+        for rate in ("0", "25/0", "-5"):
+            code = dispatch([
+                "--manifest", str(manifest), "pace", "--input", str(seq.path),
+                "--seq", "SY25", "--fps-override", rate, "--out", str(tmp_path / "o"),
+            ])
+            assert code == 2
+            assert f"error: config: frame rate '{rate}' must have positive parts" in (
+                capsys.readouterr().err)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 101, 1000, 1501])
     def test_p99_equals_numpy_percentile(self, n):
@@ -226,6 +234,16 @@ class TestAtomicWrites:
         target = tmp_path / "a" / "b" / "doc.md"
         atomic_write_text(target, "x")
         assert target.read_text() == "x"
+
+
+def test_mock_encoder_import_stays_light():
+    code = ("import sys, pacebench.mock_encoder; "
+            "print(sorted({'pacebench.dataset', 'json'} & set(sys.modules)))")
+    src = str(Path(pacebench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_import_loads_no_numeric_stack():
