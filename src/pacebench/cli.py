@@ -190,22 +190,21 @@ def cmd_pace(args, opts: GlobalOptions) -> int:
     )
 
     to_stdout = args.out == "-"
-    reader = dataset.open_frame_reader(args.input, seq)
-    sink = sys.stdout.buffer if to_stdout else open(args.out, "wb")
-    try:
-        report = pacer.run_paced(
-            (frame.payload for frame in reader),
-            sink,
-            fps_num,
-            fps_den,
-            close_sink=not to_stdout,
-        )
-    finally:
-        reader.close()
-        if to_stdout:
-            sink.flush()
-        elif not sink.closed:
-            sink.close()
+    with dataset.open_frame_reader(args.input, seq) as reader:
+        sink = sys.stdout.buffer if to_stdout else open(args.out, "wb")
+        try:
+            report = pacer.run_paced(
+                (frame.payload for frame in reader),
+                sink,
+                fps_num,
+                fps_den,
+                close_sink=not to_stdout,
+            )
+        finally:
+            if to_stdout:
+                sink.flush()
+            elif not sink.closed:
+                sink.close()
 
     lateness = report.lateness_per_frame
     summary = "\n".join([

@@ -1,9 +1,14 @@
 """Paced frame delivery: write each frame to a sink at exactly the capture rate.
 
 Deadlines are absolute — ``start + k * interval`` on the monotonic clock —
-so scheduling error never accumulates across frames. Writes are blocking:
-a consumer that cannot keep up delays the pacer, and that delay is recorded
-as per-frame lateness and total blocked time, never as dropped frames.
+so scheduling error never accumulates across frames. The pacer sleeps until
+shortly before each deadline and busy-waits the rest; how early it wakes
+follows the sleep overshoot it measures, so the spin costs little CPU where
+wake-ups are punctual and still meets deadlines where they are not.
+
+Writes are blocking: a consumer that cannot keep up delays the pacer, and
+that delay is recorded as per-frame lateness and total blocked time, never
+as dropped frames.
 """
 
 from __future__ import annotations
@@ -15,9 +20,14 @@ from typing import IO, Iterable, NamedTuple
 
 from .errors import DeliveryAbortedError, InvalidInputError, InvalidRateError, TruncationError
 
-# Sleep until this close to the deadline, then spin: OS wakeups overshoot by
-# more than the 1-2 ms precision needed at 50 fps.
-_SPIN_WINDOW_S = 0.002
+# The waiter sleeps until a spin window before each deadline and busy-waits
+# the rest, since OS wake-ups overshoot. The window starts small, doubles up to
+# the cap after a wake past the deadline and shrinks by the decay after each
+# punctual one, so it settles just above the host's usual overshoot.
+_SPIN_INITIAL_S = 0.0003
+_SPIN_MAX_S = 0.002
+_SPIN_MIN_S = 0.00005
+_SPIN_DECAY_S = 0.000005
 
 
 def frame_interval(fps_num: int, fps_den: int) -> float:
@@ -100,17 +110,24 @@ class PacingReport:
         )
 
 
-def _sleep_until(deadline: float) -> None:
-    while True:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return
-        if remaining > _SPIN_WINDOW_S:
-            time.sleep(remaining - _SPIN_WINDOW_S)
-        else:
-            while time.monotonic() < deadline:
-                pass
-            return
+class _Waiter:
+    """Returns at, never before, each absolute deadline of one paced run;
+    ``window`` is how far before a deadline the sleep ends and the spin begins."""
+
+    def __init__(self):
+        self.window = _SPIN_INITIAL_S
+
+    def wait_until(self, deadline: float) -> None:
+        now = time.monotonic()
+        if deadline - now > self.window:
+            time.sleep(deadline - now - self.window)
+            now = time.monotonic()
+            if now > deadline:
+                self.window = min(2 * self.window, _SPIN_MAX_S)
+            else:
+                self.window = max(self.window - _SPIN_DECAY_S, _SPIN_MIN_S)
+        while now < deadline:
+            now = time.monotonic()
 
 
 class FileSpan(NamedTuple):
@@ -193,9 +210,10 @@ def run_paced(
     blocked = 0.0
     sent = 0
     last_done = start
+    waiter = _Waiter()
     while True:
         deadline = schedule.deadline(sent)
-        _sleep_until(deadline)
+        waiter.wait_until(deadline)
         write_begin = time.monotonic()
         try:
             write_all(sink, chunk)

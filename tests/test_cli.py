@@ -177,6 +177,17 @@ class TestPaceCommand:
         ])
         assert code == 2
 
+    def test_unopenable_out_leaks_no_fd(self, tmp_path, capsys):
+        seq = make_sequence(frame_count=2, path=tmp_path / "src.yuv")
+        write_raw_source(seq.path, seq)
+        manifest = _write_manifest(tmp_path, [seq])
+        argv = ["--manifest", str(manifest), "pace", "--input", str(seq.path),
+                "--seq", "SY25", "--out", str(tmp_path / "missing" / "out.yuv")]
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            assert dispatch(argv) == 2
+        assert len(os.listdir("/proc/self/fd")) == before
+
     def test_manifest_required(self, tmp_path, capsys):
         code = dispatch(["pace", "--input", str(tmp_path / "x.yuv"),
                          "--seq", "SY25", "--out", "-"])

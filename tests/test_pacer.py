@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from pacebench import pacer
 from pacebench.errors import DeliveryAbortedError, InvalidInputError, InvalidRateError
 from pacebench.pacer import (
     PacingSchedule,
@@ -136,3 +137,87 @@ class TestRunPaced:
 
         clone = PacingReport.from_dict(report.to_dict())
         assert clone == report
+
+    def test_no_write_starts_before_its_deadline(self):
+        sink = RecordingSink(time.monotonic)
+        report = run_paced([b"x" * 6] * 50, sink, 100, 1)
+        interval = frame_interval(100, 1)
+        assert len(sink.write_begins) == 50
+        for k, begin in enumerate(sink.write_begins):
+            assert begin >= report.start_epoch + k * interval, k
+
+
+class RecordingSink:
+    """Takes every write whole and records when each began, read off ``now``."""
+
+    def __init__(self, now):
+        self.now = now
+        self.write_begins: list[float] = []
+
+    def write(self, data):
+        self.write_begins.append(self.now())
+        return len(data)
+
+    def close(self):
+        pass
+
+
+class FakeClock:
+    """Stands in for ``pacer.time``: every read advances the clock by 1 us,
+    and ``sleep(s)`` advances it by ``s`` plus the next scripted overshoot."""
+
+    TICK = 1e-6
+
+    def __init__(self, overshoots):
+        self.now = 100.0
+        self.overshoots = iter(overshoots)
+        self.sleep_aims: list[float] = []
+
+    def monotonic(self):
+        self.now += self.TICK
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleep_aims.append(self.now + seconds)
+        self.now += seconds + next(self.overshoots)
+
+
+class TestWaitPolicy:
+    """The spin window, read off each sleep as deadline minus where it aimed to wake."""
+
+    FPS = 50
+
+    def _run(self, monkeypatch, overshoots):
+        clock = FakeClock(overshoots)
+        monkeypatch.setattr(pacer, "time", clock)
+        sink = RecordingSink(lambda: clock.now)
+        frames = len(overshoots) + 1
+        report = run_paced([b"x"] * frames, sink, self.FPS, 1)
+        schedule = PacingSchedule(self.FPS, 1, start_epoch=report.start_epoch)
+        assert report.frames_sent == frames
+        assert all(begin >= schedule.deadline(k) for k, begin in enumerate(sink.write_begins))
+        # frame 0 is due at once; every later frame sleeps exactly once
+        assert len(clock.sleep_aims) == frames - 1
+        return [schedule.deadline(k + 1) - aim for k, aim in enumerate(clock.sleep_aims)]
+
+    def test_window_grows_after_late_wakes_up_to_the_cap(self, monkeypatch):
+        windows = self._run(monkeypatch, [0.005] * 10)
+        assert windows[0] == pytest.approx(pacer._SPIN_INITIAL_S)
+        assert windows == sorted(windows)
+        assert max(windows) <= pacer._SPIN_MAX_S + 1e-12
+        assert windows[-1] == pytest.approx(pacer._SPIN_MAX_S)
+
+    def test_window_decays_to_its_floor_when_wakes_are_punctual(self, monkeypatch):
+        windows = self._run(monkeypatch, [0.00002] * 100)
+        assert windows[0] == pytest.approx(pacer._SPIN_INITIAL_S)
+        assert all(b < a for a, b in zip(windows, windows[1:]) if a > pacer._SPIN_MIN_S + 1e-9)
+        assert windows[-1] == pytest.approx(pacer._SPIN_MIN_S)
+
+    def test_one_late_wake_doubles_the_window(self, monkeypatch):
+        windows = self._run(monkeypatch, [0.0, 0.0, 0.001, 0.0])
+        assert windows[2] == pytest.approx(windows[1] - pacer._SPIN_DECAY_S)
+        assert windows[3] == pytest.approx(2 * windows[2])
+
+    def test_early_wake_still_waits_for_the_deadline(self, monkeypatch):
+        # a sleep cut short (overshoot below zero) leaves the spin to cover the rest
+        self._run(monkeypatch, [-0.005, 0.0, -0.0001])
