@@ -14,9 +14,12 @@ enters Python. The stdin pipe is enlarged with ``F_SETPIPE_SZ`` to the
 smaller of 1 MiB and ``/proc/sys/fs/pipe-max-size`` (the default stays if
 that fails). sendfile into a pipe and ``F_SETPIPE_SZ`` are Linux-only.
 
-Deadlock contract: the child's stdout and stderr are drained on their own
-threads, concurrently with stdin feeding. Without this, a full output pipe
-blocks the child while we block writing its input.
+Child output: stdin is the only pipe, so feeding never waits on anything
+but the child reading its input. A child's stdout goes straight to the
+output file for ``output_mode=stdout`` and to ``/dev/null`` otherwise; the
+output size is always that file's size. Its stderr goes to an unlinked
+temporary file, of which only a failing run reads the last 64 KiB. Encoders
+and metric tools share this model.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import re
 import statistics
 import subprocess
 import tempfile
-import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -73,7 +75,6 @@ class RunMode(str, Enum):
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 _STDERR_TAIL_LIMIT = 65536
-_DRAIN_CHUNK = 65536
 _STDIN_PIPE_BYTES = 1 << 20
 
 RUNS_CSV_COLUMNS = (
@@ -288,38 +289,6 @@ def throughput_stats(records: Iterable[RunRecord]) -> dict[float, tuple[float, f
     return {bitrate: mean_sample_std(values) for bitrate, values in sorted(groups.items())}
 
 
-class _Drain(threading.Thread):
-    """Consumes a child pipe so the child never blocks on a full buffer."""
-
-    def __init__(self, stream, sink_path: Path | None = None, keep_tail: bool = False):
-        super().__init__(daemon=True)
-        self._stream = stream
-        self._sink_path = sink_path
-        self._keep_tail = keep_tail
-        self._tail = b""
-        self.byte_count = 0
-
-    def run(self):
-        sink = open(self._sink_path, "wb") if self._sink_path else None
-        try:
-            while True:
-                chunk = self._stream.read(_DRAIN_CHUNK)
-                if not chunk:
-                    break
-                self.byte_count += len(chunk)
-                if sink:
-                    sink.write(chunk)
-                if self._keep_tail:
-                    self._tail = (self._tail + chunk)[-_STDERR_TAIL_LIMIT:]
-        finally:
-            if sink:
-                sink.close()
-            self._stream.close()
-
-    def tail_text(self) -> str:
-        return self._tail.decode("utf-8", "replace")
-
-
 def _frame_spans(source: SourceFile, input_mode: InputMode) -> Iterator[FileSpan]:
     """One span per frame, framed per the encoder's input mode.
 
@@ -388,17 +357,24 @@ def _run(profile, seq, bitrate_kbps, mode, source_path, output_path) -> RunRecor
     source_file = SourceFile(source, seq) if profile.input_mode is not InputMode.FILE else None
     temp_output = None
     try:
-        if output_path is None and profile.output_mode is OutputMode.FILE:
+        if output_path is None:
             fd, temp_output = tempfile.mkstemp(suffix=OUTPUT_SUFFIX, prefix="pacebench-")
             os.close(fd)
             output_path = temp_output
-        output_path = Path(output_path) if output_path else None
-        return _run_spawned(profile, seq, bitrate_kbps, mode, source, source_file, output_path)
+        return _run_spawned(profile, seq, bitrate_kbps, mode, source, source_file,
+                            Path(output_path))
     finally:
         if source_file is not None:
             source_file.close()
         if temp_output:
             _unlink_quietly(temp_output)
+
+
+def _stderr_tail(stderr) -> str:
+    """The last ``_STDERR_TAIL_LIMIT`` bytes a child wrote to its stderr file."""
+    size = os.fstat(stderr.fileno()).st_size
+    start = max(0, size - _STDERR_TAIL_LIMIT)
+    return os.pread(stderr.fileno(), size - start, start).decode("utf-8", "replace")
 
 
 def _run_spawned(profile, seq, bitrate_kbps, mode, source, source_file,
@@ -413,99 +389,81 @@ def _run_spawned(profile, seq, bitrate_kbps, mode, source, source_file,
     log.info("run %s %s %skbps %s: %s", profile.name, seq.short_name,
              _format_number(bitrate_kbps), mode.value, " ".join(cmd))
 
-    spawn_time = time.monotonic()
-    try:
-        child = subprocess.Popen(
-            cmd,
-            stdin=subprocess.PIPE if source_file is not None else subprocess.DEVNULL,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            bufsize=0,
-        )
-    except OSError as exc:
-        raise EncoderRunError(f"failed to spawn '{cmd[0]}': {exc}") from exc
+    stdout_path = output_path if profile.output_mode is OutputMode.STDOUT else os.devnull
+    with open(stdout_path, "wb") as stdout, tempfile.TemporaryFile() as stderr:
+        spawn_time = time.monotonic()
+        try:
+            child = subprocess.Popen(
+                cmd,
+                stdin=subprocess.PIPE if source_file is not None else subprocess.DEVNULL,
+                stdout=stdout,
+                stderr=stderr,
+                bufsize=0,
+            )
+        except OSError as exc:
+            raise EncoderRunError(f"failed to spawn '{cmd[0]}': {exc}") from exc
 
-    stdout_sink = output_path if profile.output_mode is OutputMode.STDOUT else None
-    stdout_drain = _Drain(child.stdout, sink_path=stdout_sink)
-    stderr_drain = _Drain(child.stderr, keep_tail=True)
-    stdout_drain.start()
-    stderr_drain.start()
-
-    frames_in = 0
-    pacing_report: PacingReport | None = None
-    feed_error: BaseException | None = None
-    try:
-        if source_file is not None:
-            _enlarge_pipe(child.stdin.fileno())
-            spans = _frame_spans(source_file, profile.input_mode)
-            if mode is RunMode.PACED:
+        frames_in = 0
+        pacing_report: PacingReport | None = None
+        feed_error: BaseException | None = None
+        try:
+            if source_file is not None:
+                _enlarge_pipe(child.stdin.fileno())
+                spans = _frame_spans(source_file, profile.input_mode)
                 try:
-                    pacing_report = pacer.run_paced(spans, child.stdin, seq.fps_num, seq.fps_den)
+                    if mode is RunMode.PACED:
+                        pacing_report = pacer.run_paced(
+                            spans, child.stdin, seq.fps_num, seq.fps_den, close_sink=False
+                        )
+                    else:
+                        for span in spans:
+                            write_all(child.stdin, span)
+                            frames_in += 1
+                except (DeliveryAbortedError, OSError) as exc:
+                    feed_error = exc
+                    pacing_report = getattr(exc, "pacing_report", None)
+                if pacing_report is not None:
                     frames_in = pacing_report.frames_sent
-                except DeliveryAbortedError as exc:
-                    pacing_report = exc.pacing_report
-                    frames_in = pacing_report.frames_sent if pacing_report else 0
-                    feed_error = exc
-                    try:
-                        child.stdin.close()
-                    except OSError:
-                        pass
-            else:
                 try:
-                    for span in spans:
-                        write_all(child.stdin, span)
-                        frames_in += 1
                     child.stdin.close()
-                except (BrokenPipeError, OSError) as exc:
-                    feed_error = exc
-                    try:
-                        child.stdin.close()
-                    except OSError:
-                        pass
-        else:
-            frames_in = seq.frame_count
-        child.wait()
-    except BaseException:
-        child.kill()
-        child.wait()
-        if child.stdin is not None:
-            child.stdin.close()
-        raise
-    finally:
-        exit_time = time.monotonic()
-        stdout_drain.join()
-        stderr_drain.join()
+                except OSError:
+                    pass  # the child already went away; its exit status tells why
+            else:
+                frames_in = seq.frame_count
+            child.wait()
+            exit_time = time.monotonic()
+        except BaseException:
+            child.kill()
+            child.wait()
+            if child.stdin is not None:
+                child.stdin.close()
+            raise
 
-    exit_status = child.returncode
-    if exit_status != 0:
-        raise EncoderRunError(
-            f"encoder '{profile.name}' exited with status {exit_status}",
-            stderr_tail=stderr_drain.tail_text(),
-            exit_status=exit_status,
-        )
-
-    if mode is RunMode.PACED and pacing_report is not None:
-        wall_time = exit_time - pacing_report.start_epoch
-    else:
-        wall_time = exit_time - spawn_time
-
-    if feed_error is not None and mode is RunMode.UNPACED:
-        raise EncoderRunError(
-            f"encoder '{profile.name}' closed its input pipe after {frames_in} frames",
-            stderr_tail=stderr_drain.tail_text(),
-            exit_status=exit_status,
-        )
-
-    if profile.output_mode is OutputMode.STDOUT:
-        output_size = stdout_drain.byte_count
-    else:
+        exit_status = child.returncode
+        if exit_status != 0:
+            raise EncoderRunError(
+                f"encoder '{profile.name}' exited with status {exit_status}",
+                stderr_tail=_stderr_tail(stderr),
+                exit_status=exit_status,
+            )
+        if feed_error is not None and mode is RunMode.UNPACED:
+            raise EncoderRunError(
+                f"encoder '{profile.name}' closed its input pipe after {frames_in} frames",
+                stderr_tail=_stderr_tail(stderr),
+                exit_status=exit_status,
+            )
         try:
             output_size = os.path.getsize(output_path)
         except OSError as exc:
             raise EncoderRunError(
                 f"encoder '{profile.name}' produced no output file: {exc}",
-                stderr_tail=stderr_drain.tail_text(),
+                stderr_tail=_stderr_tail(stderr),
             ) from exc
+
+    if mode is RunMode.PACED and pacing_report is not None:
+        wall_time = exit_time - pacing_report.start_epoch
+    else:
+        wall_time = exit_time - spawn_time
 
     record = RunRecord(
         profile_name=profile.name,
@@ -670,16 +628,17 @@ def run_metric_tool(
         **_sequence_values(seq),
     }
     cmd = _substitute_tokens(command_template, values, "metric command")
-    try:
-        result = subprocess.run(cmd, capture_output=True, text=True)
-    except OSError as exc:
-        raise EncoderRunError(f"failed to spawn metric tool '{cmd[0]}': {exc}") from exc
-    if result.returncode != 0:
-        raise EncoderRunError(
-            f"metric tool exited with status {result.returncode}",
-            stderr_tail=result.stderr[-_STDERR_TAIL_LIMIT:],
-            exit_status=result.returncode,
-        )
+    with tempfile.TemporaryFile() as stderr:
+        try:
+            status = subprocess.run(cmd, stdout=subprocess.DEVNULL, stderr=stderr).returncode
+        except OSError as exc:
+            raise EncoderRunError(f"failed to spawn metric tool '{cmd[0]}': {exc}") from exc
+        if status != 0:
+            raise EncoderRunError(
+                f"metric tool exited with status {status}",
+                stderr_tail=_stderr_tail(stderr),
+                exit_status=status,
+            )
 
 
 def run_benchmark(

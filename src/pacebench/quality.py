@@ -38,27 +38,32 @@ class QualityReport:
 
     When both are present the pooled score must equal the arithmetic mean
     of the frame scores to within 1e-6; the tool's pooled value is kept
-    verbatim rather than recomputed.
+    verbatim rather than recomputed. A pooled score of None becomes that mean.
     """
 
     metric_name: str
-    pooled_score: float
+    pooled_score: float | None
     per_frame_scores: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        _check_score(self.pooled_score, "pooled score")
+        mean = None
         if self.per_frame_scores is not None:
-            frames = tuple(float(s) for s in self.per_frame_scores)
+            for score in self.per_frame_scores:
+                _check_score(score, "frame score")
+            frames = tuple(map(float, self.per_frame_scores))
             object.__setattr__(self, "per_frame_scores", frames)
             if not frames:
                 raise MetricSchemaError("per-frame score list is empty")
-            for score in frames:
-                _check_score(score, "frame score")
-            if abs(self.pooled_score - statistics.fmean(frames)) > _POOLED_MEAN_TOLERANCE:
-                raise MetricSchemaError(
-                    f"pooled score {self.pooled_score} disagrees with the mean of "
-                    f"{len(frames)} frame scores ({statistics.fmean(frames)})"
-                )
+            mean = statistics.fmean(frames)
+            if self.pooled_score is None:
+                object.__setattr__(self, "pooled_score", mean)
+        _check_score(self.pooled_score, "pooled score")
+        object.__setattr__(self, "pooled_score", float(self.pooled_score))
+        if mean is not None and abs(self.pooled_score - mean) > _POOLED_MEAN_TOLERANCE:
+            raise MetricSchemaError(
+                f"pooled score {self.pooled_score} disagrees with the mean of "
+                f"{len(self.per_frame_scores)} frame scores ({mean})"
+            )
 
     def to_dict(self) -> dict:
         data: dict = {"metric": self.metric_name, "pooled": self.pooled_score}
@@ -119,14 +124,11 @@ def parse_metric_report(path: str | Path) -> QualityReport:
         raise MetricSchemaError(
             f"{path}: report contains neither a pooled score nor per-frame scores"
         )
-    if frames is not None:
-        for score in frames:
-            _check_score(score, "frame score")
-    if pooled is None:
-        pooled = statistics.fmean(frames)
+    if frames is not None and not isinstance(frames, list):
+        raise MetricSchemaError(f"{path}: 'frames' must be a list, got {frames!r}")
     return QualityReport(
         metric_name=str(data.get("metric", "vmaf")),
-        pooled_score=float(pooled),
+        pooled_score=pooled,
         per_frame_scores=tuple(frames) if frames is not None else None,
     )
 

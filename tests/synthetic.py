@@ -1,11 +1,13 @@
-"""Shared helpers: synthetic sources, sequences, and mock encoder profiles."""
+"""Test helpers: synthetic sequences and sources, and mock encoder profiles.
+
+A module with its own name, so that ``from synthetic import ...`` finds it
+whichever ``conftest.py`` pytest loaded last.
+"""
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
-
-import pytest
 
 from pacebench.dataset import VideoSequence, build_y4m_header
 from pacebench.harness import EncoderProfile
@@ -86,10 +88,3 @@ def mock_profile(
         input_mode=input_mode,
         output_mode=output_mode,
     )
-
-
-@pytest.fixture
-def tiny_seq(tmp_path: Path) -> VideoSequence:
-    seq = make_sequence(frame_count=8, path=tmp_path / "tiny.yuv")
-    write_raw_source(seq.path, seq)
-    return seq

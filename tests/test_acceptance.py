@@ -26,7 +26,7 @@ from pacebench.pacer import buffer_latency, run_paced as pace_frames
 from pacebench.quality import MosLabel, vmaf_to_mos
 from pacebench.report import group_average
 
-from conftest import make_sequence, mock_profile, write_raw_source, write_y4m_source
+from synthetic import make_sequence, mock_profile, write_raw_source, write_y4m_source
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 

@@ -12,7 +12,7 @@ from pacebench.cli import _percentile, dispatch
 from pacebench.curves import RateQualityCurve, save_curve_csv
 from pacebench.ioutil import atomic_write_text
 
-from conftest import make_sequence, mock_profile, write_raw_source
+from synthetic import make_sequence, mock_profile, write_raw_source
 
 
 def _write_manifest(tmp_path, sequences):

@@ -24,7 +24,7 @@ from pacebench.errors import (
     Y4mParseError,
 )
 
-from conftest import frame_payload, make_sequence, write_raw_source, write_y4m_source
+from synthetic import frame_payload, make_sequence, write_raw_source, write_y4m_source
 
 
 class TestFrameByteSize:

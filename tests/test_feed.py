@@ -16,7 +16,7 @@ from pacebench.dataset import build_y4m_header
 from pacebench.errors import ConfigError, TruncationError, Y4mParseError
 from pacebench.harness import EncoderProfile, run_paced, run_unpaced
 
-from conftest import make_sequence
+from synthetic import make_sequence
 
 # 160x120 frames are 28 800 bytes: several frames share one default pipe.
 # 320x240 frames (115 200 bytes) do not fit one, so writes to them block.

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
 import sys
+import tempfile
+import threading
 
 import pytest
 
+from pacebench import harness
 from pacebench.errors import (
     ConfigError,
     DeliveryAbortedError,
@@ -25,6 +30,7 @@ from pacebench.harness import (
     render_command,
     run_basename,
     run_benchmark,
+    run_metric_tool,
     run_paced,
     run_unpaced,
     runs_csv_text,
@@ -33,7 +39,7 @@ from pacebench.harness import (
 )
 from pacebench.pacer import PacingReport
 
-from conftest import make_sequence, mock_profile, write_raw_source
+from synthetic import make_sequence, mock_profile, write_raw_source
 
 
 X264_TEMPLATE = (
@@ -251,6 +257,104 @@ class TestRunPaced:
         assert record is not None
         assert 10 <= record.frames_in < source_seq.frame_count
         assert record.pacing is not None
+
+
+def _script_profile(name: str, code: str, **kwargs) -> EncoderProfile:
+    """A child running ``code`` with sys.argv[1] = {output}."""
+    return EncoderProfile(
+        name, (sys.executable, "-c", code, "{output}", "{bitrate_kbps}"), **kwargs
+    )
+
+
+_CHATTY_CODE = (
+    "import sys, pathlib;"
+    "sys.stdout.buffer.write(b'o' * (4 << 20)); sys.stdout.flush();"
+    "sys.stderr.buffer.write(b'e' * (4 << 20)); sys.stderr.flush();"
+    "pathlib.Path(sys.argv[1]).write_bytes(sys.stdin.buffer.read())"
+)
+
+
+@pytest.fixture
+def quick_seq(tmp_path):
+    """20 frames at 250 fps, so a paced run takes 80 ms."""
+    seq = make_sequence(frame_count=20, fps_num=250, path=tmp_path / "quick.yuv")
+    write_raw_source(seq.path, seq)
+    return seq
+
+
+class TestChildOutput:
+    """stdin is a child's only pipe: stdout goes to a file or /dev/null, stderr to a temp file."""
+
+    @pytest.mark.parametrize("run", [run_unpaced, run_paced])
+    def test_child_writing_megabytes_before_reading_stdin(self, run, tmp_path):
+        seq = make_sequence(frame_count=10, path=tmp_path / "src.yuv")
+        write_raw_source(seq.path, seq)
+        out = tmp_path / "o.bin"
+        record = run(_script_profile("chatty", _CHATTY_CODE), seq, 800, output_path=out)
+        assert record.frames_in == 10
+        assert out.read_bytes() == seq.path.read_bytes()
+
+    def test_failing_child_stderr_tail_is_last_64_kib(self, source_seq):
+        code = (
+            "import sys;"
+            "sys.stderr.buffer.write(bytes(65 + k % 26 for k in range(200_000)));"
+            "sys.exit(1)"
+        )
+        with pytest.raises(EncoderRunError) as err:
+            run_unpaced(_script_profile("loud", code, input_mode="file"), source_seq, 800)
+        expected = bytes(65 + k % 26 for k in range(200_000))[-65536:].decode()
+        assert err.value.stderr_tail == expected
+        assert err.value.exit_status == 1
+
+    def test_stdout_mode_without_output_path(self, source_seq, tmp_path, monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        record = run_unpaced(mock_profile("pipe-out", output_mode="stdout"), source_seq, 800)
+        assert record.output_size_bytes == 240_000
+        assert list(scratch.iterdir()) == []
+
+    def test_runs_leave_no_open_descriptors(self, quick_seq, tmp_path):
+        before = len(os.listdir("/proc/self/fd"))
+        run_unpaced(mock_profile("a"), quick_seq, 800, output_path=tmp_path / "a.bin")
+        run_unpaced(mock_profile("b", output_mode="stdout"), quick_seq, 800)
+        run_paced(mock_profile("c"), quick_seq, 800, output_path=tmp_path / "c.bin")
+        with pytest.raises(EncoderRunError):
+            run_unpaced(mock_profile("d", "--fail-after", "5"), quick_seq, 800)
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_run_starts_no_thread(self, quick_seq, tmp_path, monkeypatch):
+        counts = []
+
+        class CountingPopen(subprocess.Popen):
+            def wait(self, timeout=None):
+                counts.append(threading.active_count())
+                return super().wait(timeout)
+
+        monkeypatch.setattr(harness.subprocess, "Popen", CountingPopen)
+        base = threading.active_count()
+        run_unpaced(mock_profile("a"), quick_seq, 800, output_path=tmp_path / "a.bin")
+        run_unpaced(mock_profile("b", output_mode="stdout"), quick_seq, 800)
+        run_paced(mock_profile("c"), quick_seq, 800, output_path=tmp_path / "c.bin")
+        assert len(counts) == 3 and all(count == base for count in counts)
+
+
+def _run_metric_tool_writing_ff(status: int, tmp_path) -> None:
+    """A metric tool that writes a byte that is not UTF-8 to stderr, then exits."""
+    code = f"import sys; sys.stderr.buffer.write(b'bad \\xff byte'); sys.exit({status})"
+    run_metric_tool((sys.executable, "-c", code, "{report_out}"), reference="r",
+                    distorted="d", seq=make_sequence(), report_out=tmp_path / "q.json")
+
+
+class TestMetricTool:
+    def test_non_utf8_stderr_on_success(self, tmp_path):
+        _run_metric_tool_writing_ff(0, tmp_path)
+
+    def test_non_utf8_stderr_on_failure(self, tmp_path):
+        with pytest.raises(EncoderRunError) as err:
+            _run_metric_tool_writing_ff(1, tmp_path)
+        assert err.value.exit_status == 1
+        assert err.value.stderr_tail == "bad \ufffd byte"
 
 
 class TestRecordPersistence:

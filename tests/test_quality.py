@@ -88,6 +88,28 @@ class TestParseMetricReport:
         assert abs(reparsed.pooled_score - original.pooled_score) < 1e-6
 
 
+class TestScoreTypes:
+    @pytest.mark.parametrize("pooled,frames", [(50.0, ("50",)), (1.0, (True,))])
+    def test_report_rejects_non_number_frames(self, pooled, frames):
+        with pytest.raises(MetricSchemaError, match="must be a number"):
+            QualityReport("vmaf", pooled, frames)
+
+    @pytest.mark.parametrize("payload", [
+        {"metric": "vmaf", "pooled": "50"},
+        {"metric": "vmaf", "pooled": True},
+        {"metric": "vmaf", "frames": ["50", "60"]},
+        {"metric": "vmaf", "pooled": 50, "frames": [50, None]},
+        {"metric": "vmaf", "frames": 5},
+    ])
+    def test_parse_rejects_non_number_scores(self, tmp_path, payload):
+        with pytest.raises(MetricSchemaError):
+            parse_metric_report(_write_report(tmp_path, payload))
+
+    def test_int_scores_become_floats(self, tmp_path):
+        report = parse_metric_report(_write_report(tmp_path, {"metric": "vmaf", "pooled": 70}))
+        assert type(report.pooled_score) is float
+
+
 class TestVmafToMos:
     @pytest.mark.parametrize(
         "vmaf,mos,label",

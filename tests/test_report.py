@@ -22,7 +22,7 @@ from pacebench.report import (
 )
 import pacebench.report as report_mod
 
-from conftest import make_sequence
+from synthetic import make_sequence
 
 
 class TestGroupAverage:
