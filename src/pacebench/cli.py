@@ -193,18 +193,15 @@ def cmd_pace(args, opts: GlobalOptions) -> int:
     with dataset.open_frame_reader(args.input, seq) as reader:
         sink = sys.stdout.buffer if to_stdout else open(args.out, "wb")
         try:
-            report = pacer.run_paced(
-                (frame.payload for frame in reader),
-                sink,
-                fps_num,
-                fps_den,
-                close_sink=not to_stdout,
-            )
+            report = pacer.run_paced((frame.payload for frame in reader), sink, fps_num, fps_den)
         finally:
             if to_stdout:
                 sink.flush()
-            elif not sink.closed:
-                sink.close()
+            else:
+                try:
+                    sink.close()
+                except OSError:
+                    pass  # the reader already left; the run's own result or error stands
 
     lateness = report.lateness_per_frame
     summary = "\n".join([
@@ -298,10 +295,13 @@ def cmd_report(args, opts: GlobalOptions) -> int:
     from . import report as report_mod
     sequences = _require_manifest(opts)
     runs_dir: Path = args.runs
-    record_paths = sorted(
-        p for p in runs_dir.glob(f"*{RECORD_SUFFIX}")
-        if not p.name.endswith(QUALITY_SUFFIX)
-    )
+    record_paths, quality_names = [], set()
+    for p in runs_dir.glob(f"*{RECORD_SUFFIX}"):
+        if p.name.endswith(QUALITY_SUFFIX):
+            quality_names.add(p.name)
+        else:
+            record_paths.append(p)
+    record_paths.sort()
     if not record_paths:
         raise ConfigError(f"no run records found under {runs_dir}")
     all_records = [(p, harness.load_run_record(p)) for p in record_paths]
@@ -312,11 +312,11 @@ def cmd_report(args, opts: GlobalOptions) -> int:
     curves: dict[str, dict[str, object]] = {}
     pairs_by_profile_seq: dict[tuple[str, str], list] = {}
     for path, record in selected:
-        quality_path = path.with_name(path.name[: -len(RECORD_SUFFIX)] + QUALITY_SUFFIX)
-        if not quality_path.exists():
+        quality_name = path.name[: -len(RECORD_SUFFIX)] + QUALITY_SUFFIX
+        if quality_name not in quality_names:
             log.warning("no quality report for %s; skipping", path.name)
             continue
-        report = quality.parse_metric_report(quality_path)
+        report = quality.parse_metric_report(runs_dir / quality_name)
         key = (record.profile_name, record.sequence_short_name)
         pairs_by_profile_seq.setdefault(key, []).append((record, report))
 

@@ -49,6 +49,7 @@ MANIFEST_REQUIRED_KEYS = (
     "pixel_format",
     "frame_count",
 )
+_MANIFEST_INT_KEYS = ("fps_num", "fps_den", "width", "height", "frame_count")
 
 
 def frame_byte_size(width: int, height: int, fmt: PixelFormat = PixelFormat.I420_8BIT) -> int:
@@ -385,6 +386,9 @@ def load_manifest(path: str | Path) -> list[VideoSequence]:
         missing = [k for k in MANIFEST_REQUIRED_KEYS if k not in entry]
         if missing:
             raise ManifestError(f"{label}: missing key(s) {', '.join(missing)}")
+        for key in _MANIFEST_INT_KEYS:
+            if type(entry[key]) is not int:  # not bool, nor a float such as 4.0
+                raise ManifestError(f"{label}: {key} must be an integer, got {entry[key]!r}")
         source = Path(entry["path"])
         if not source.is_absolute():
             source = path.parent / source

@@ -412,9 +412,8 @@ def _run_spawned(profile, seq, bitrate_kbps, mode, source, source_file,
                 spans = _frame_spans(source_file, profile.input_mode)
                 try:
                     if mode is RunMode.PACED:
-                        pacing_report = pacer.run_paced(
-                            spans, child.stdin, seq.fps_num, seq.fps_den, close_sink=False
-                        )
+                        pacing_report = pacer.run_paced(spans, child.stdin,
+                                                        seq.fps_num, seq.fps_den)
                     else:
                         for span in spans:
                             write_all(child.stdin, span)

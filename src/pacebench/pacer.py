@@ -2,9 +2,9 @@
 
 Deadlines are absolute — ``start + k * interval`` on the monotonic clock —
 so scheduling error never accumulates across frames. The pacer sleeps until
-shortly before each deadline and busy-waits the rest; how early it wakes
-follows the sleep overshoot it measures, so the spin costs little CPU where
-wake-ups are punctual and still meets deadlines where they are not.
+a fixed spin window before each deadline and busy-waits the rest, so no
+frame is written early; a wake-up that overshoots the window makes that
+frame late, and its lateness records it.
 
 Writes are blocking: a consumer that cannot keep up delays the pacer, and
 that delay is recorded as per-frame lateness and total blocked time, never
@@ -20,14 +20,11 @@ from typing import IO, Iterable, NamedTuple
 
 from .errors import DeliveryAbortedError, InvalidInputError, InvalidRateError, TruncationError
 
-# The waiter sleeps until a spin window before each deadline and busy-waits
-# the rest, since OS wake-ups overshoot. The window starts small, doubles up to
-# the cap after a wake past the deadline and shrinks by the decay after each
-# punctual one, so it settles just above the host's usual overshoot.
-_SPIN_INITIAL_S = 0.0003
-_SPIN_MAX_S = 0.002
-_SPIN_MIN_S = 0.00005
-_SPIN_DECAY_S = 0.000005
+# How long before each deadline the sleep ends and the busy-wait begins.
+# time.sleep overshoots by 0.07-0.16 ms (p50) on the benchmark host, and
+# every frame spins for what is left of the window after it wakes, so a wider
+# window costs CPU on every frame.
+_SPIN_S = 0.0003
 
 
 def frame_interval(fps_num: int, fps_den: int) -> float:
@@ -110,24 +107,13 @@ class PacingReport:
         )
 
 
-class _Waiter:
-    """Returns at, never before, each absolute deadline of one paced run;
-    ``window`` is how far before a deadline the sleep ends and the spin begins."""
-
-    def __init__(self):
-        self.window = _SPIN_INITIAL_S
-
-    def wait_until(self, deadline: float) -> None:
+def _wait_until(deadline: float) -> None:
+    """Return at, never before, the absolute monotonic ``deadline``."""
+    now = time.monotonic()
+    if deadline - now > _SPIN_S:
+        time.sleep(deadline - now - _SPIN_S)
+    while now < deadline:
         now = time.monotonic()
-        if deadline - now > self.window:
-            time.sleep(deadline - now - self.window)
-            now = time.monotonic()
-            if now > deadline:
-                self.window = min(2 * self.window, _SPIN_MAX_S)
-            else:
-                self.window = max(self.window - _SPIN_DECAY_S, _SPIN_MIN_S)
-        while now < deadline:
-            now = time.monotonic()
 
 
 class FileSpan(NamedTuple):
@@ -182,16 +168,13 @@ def run_paced(
     sink: IO[bytes],
     fps_num: int,
     fps_den: int,
-    *,
-    close_sink: bool = True,
 ) -> PacingReport:
     """Deliver each frame chunk no earlier than its absolute deadline.
 
     The frame source yields one bytes chunk or FileSpan per frame (the
     pacer is container-agnostic; any per-frame framing is the caller's
-    business).
-    The sink is closed after the final frame to signal end-of-stream unless
-    ``close_sink`` is false. A consumer that disappears mid-stream raises
+    business). The sink stays open; closing it to signal end-of-stream is
+    the caller's job. A consumer that disappears mid-stream raises
     DeliveryAbortedError carrying the partial report.
 
     The caller must guarantee something drains the sink concurrently; with
@@ -210,10 +193,9 @@ def run_paced(
     blocked = 0.0
     sent = 0
     last_done = start
-    waiter = _Waiter()
     while True:
         deadline = schedule.deadline(sent)
-        waiter.wait_until(deadline)
+        _wait_until(deadline)
         write_begin = time.monotonic()
         try:
             write_all(sink, chunk)
@@ -240,11 +222,6 @@ def run_paced(
         except StopIteration:
             break
 
-    if close_sink:
-        try:
-            sink.close()
-        except (BrokenPipeError, OSError):
-            pass  # consumer already gone, but every frame was delivered
     return PacingReport(
         frames_sent=sent,
         total_duration_s=last_done - start,

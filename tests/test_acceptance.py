@@ -237,14 +237,14 @@ def test_criterion_04_randomized_property_suite():
 def test_criterion_05_pacer_timing():
     with criterion(5, "pacer timing"):
         # (a) 100 synthetic 2x2 frames at 50 fps into a null sink
-        sink = open(os.devnull, "wb", buffering=0)
-        report = pace_frames([b"\0" * 6] * 100, sink, 50, 1)
+        with open(os.devnull, "wb", buffering=0) as sink:
+            report = pace_frames([b"\0" * 6] * 100, sink, 50, 1)
         assert 1.98 <= report.total_duration_s <= 2.08
         assert report.delivery_fps <= 50 * 1.02
 
         # (b) p99 lateness < 5 ms over 500 frames at 25 fps
-        sink = open(os.devnull, "wb", buffering=0)
-        report = pace_frames([b"\0" * 6] * 500, sink, 25, 1)
+        with open(os.devnull, "wb", buffering=0) as sink:
+            report = pace_frames([b"\0" * 6] * 500, sink, 25, 1)
         lateness = np.asarray(report.lateness_per_frame)
         assert np.percentile(lateness, 99) < 0.005
         # (c) the delivery rate never exceeds 1.02x the target

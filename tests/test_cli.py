@@ -10,6 +10,7 @@ import pytest
 import pacebench
 from pacebench.cli import _percentile, dispatch
 from pacebench.curves import RateQualityCurve, save_curve_csv
+from pacebench.harness import load_run_record
 from pacebench.ioutil import atomic_write_text
 
 from synthetic import make_sequence, mock_profile, write_raw_source
@@ -188,6 +189,20 @@ class TestPaceCommand:
             assert dispatch(argv) == 2
         assert len(os.listdir("/proc/self/fd")) == before
 
+    def test_non_integer_manifest_field_exits_2(self, tmp_path, capsys):
+        seq = make_sequence(frame_count=5, path=tmp_path / "src.yuv")
+        write_raw_source(seq.path, seq)
+        manifest = _write_manifest(tmp_path, [seq])
+        entries = json.loads(manifest.read_text())
+        entries[0]["frame_count"] = "5"
+        manifest.write_text(json.dumps(entries))
+        code = dispatch([
+            "--manifest", str(manifest), "pace",
+            "--input", str(seq.path), "--seq", "SY25", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert "error: manifest: SY25: frame_count must be an integer" in capsys.readouterr().err
+
     def test_manifest_required(self, tmp_path, capsys):
         code = dispatch(["pace", "--input", str(tmp_path / "x.yuv"),
                          "--seq", "SY25", "--out", "-"])
@@ -214,6 +229,34 @@ class TestBenchCommand:
         assert code == 0
         assert (tmp_path / "runs" / "runs.csv").exists()
         assert "2 run record(s)" in out
+
+    def test_report_skips_a_record_without_quality_report(self, tmp_path, capsys, caplog):
+        seq = make_sequence(frame_count=4, path=tmp_path / "src.yuv")
+        write_raw_source(seq.path, seq)
+        manifest = _write_manifest(tmp_path, [seq])
+        runs = tmp_path / "runs"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "manifest": str(manifest),
+            "profiles": [mock_profile("mock-a").to_dict(), mock_profile("mock-b").to_dict()],
+            "sequences": ["SY25"],
+            "bitrates_kbps": [800, 1600, 3200],
+            "modes": ["unpaced"],
+            "output_dir": str(runs),
+        }))
+        assert dispatch(["bench", "--config", str(config)]) == 0
+        records = sorted(p for p in runs.glob("*.json") if not p.name.endswith(".quality.json"))
+        assert len(records) == 6
+        for path in records[1:]:
+            pooled = load_run_record(path).target_bitrate_kbps / 40
+            path.with_name(path.stem + ".quality.json").write_text(
+                json.dumps({"metric": "vmaf", "pooled": pooled}))
+        code = dispatch(["--manifest", str(manifest), "report", "--runs", str(runs),
+                         "--anchor", "mock-a", "--kind", "rate", "--format", "md",
+                         "--out", str(tmp_path / "m.md")])
+        assert code == 0
+        skipped = [m for m in caplog.messages if "no quality report" in m]
+        assert skipped == [f"no quality report for {records[0].name}; skipping"]
 
     def test_only_filter_no_match(self, tmp_path, capsys):
         seq = make_sequence(frame_count=4, path=tmp_path / "src.yuv")

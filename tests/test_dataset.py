@@ -292,6 +292,18 @@ class TestManifest:
         with pytest.raises(ManifestError, match="fps_num"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("frame_count", "10"),
+        ("fps_num", None),
+        ("fps_den", 1.0),
+        ("width", 4.0),
+        ("height", True),
+    ])
+    def test_non_integer_field_rejected(self, tmp_path, key, value):
+        path = self._write(tmp_path, [_manifest_entry(**{key: value})])
+        with pytest.raises(ManifestError, match=f"BS25: {key} must be an integer"):
+            load_manifest(path)
+
     def test_unknown_pixel_format_rejected(self, tmp_path):
         path = self._write(tmp_path, [_manifest_entry(pixel_format="I420_10bit")])
         with pytest.raises(ManifestError):

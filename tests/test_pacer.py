@@ -54,23 +54,25 @@ class TestSchedule:
         assert schedule.frame_interval_s == pytest.approx(0.02)
 
 
-def _null_sink():
-    return open(os.devnull, "wb", buffering=0)
+@pytest.fixture
+def null_sink():
+    with open(os.devnull, "wb", buffering=0) as sink:
+        yield sink
 
 
 class TestRunPaced:
-    def test_empty_source(self):
+    def test_empty_source(self, null_sink):
         with pytest.raises(InvalidInputError):
-            run_paced([], _null_sink(), 25, 1)
+            run_paced([], null_sink, 25, 1)
 
-    def test_single_frame_sends_immediately(self):
-        report = run_paced([b"x" * 6], _null_sink(), 25, 1)
+    def test_single_frame_sends_immediately(self, null_sink):
+        report = run_paced([b"x" * 6], null_sink, 25, 1)
         assert report.frames_sent == 1
         assert report.total_duration_s < 0.05
 
-    def test_hundred_frames_at_fifty_fps(self):
+    def test_hundred_frames_at_fifty_fps(self, null_sink):
         frames = [b"\0" * 6] * 100
-        report = run_paced(frames, _null_sink(), 50, 1)
+        report = run_paced(frames, null_sink, 50, 1)
         assert 1.98 <= report.total_duration_s <= 2.08
         # throughput ceiling: never faster than 1.02x real time
         assert report.delivery_fps <= 50 * 1.02
@@ -102,6 +104,7 @@ class TestRunPaced:
         consumer.start()
         sink = os.fdopen(write_fd, "wb", buffering=0)
         report = run_paced([b"\0" * frame_bytes] * total, sink, 20, 1)
+        sink.close()  # end-of-stream, which the consumer waits for
         consumer.join(timeout=30)
         assert consumed.is_set()
         assert report.frames_sent == total
@@ -126,13 +129,14 @@ class TestRunPaced:
         sink = os.fdopen(write_fd, "wb", buffering=0)
         with pytest.raises(DeliveryAbortedError) as err:
             run_paced([b"\0" * frame_bytes] * 500, sink, 200, 1)
+        sink.close()
         consumer.join(timeout=10)
         partial = err.value.pacing_report
         assert partial is not None
         assert 0 < partial.frames_sent < 500
 
-    def test_report_round_trip(self):
-        report = run_paced([b"x" * 6] * 3, _null_sink(), 100, 1)
+    def test_report_round_trip(self, null_sink):
+        report = run_paced([b"x" * 6] * 3, null_sink, 100, 1)
         from pacebench.pacer import PacingReport
 
         clone = PacingReport.from_dict(report.to_dict())
@@ -146,6 +150,11 @@ class TestRunPaced:
         for k, begin in enumerate(sink.write_begins):
             assert begin >= report.start_epoch + k * interval, k
 
+    def test_run_paced_leaves_the_sink_open(self, null_sink):
+        run_paced([b"x" * 6] * 3, null_sink, 100, 1)
+        assert not null_sink.closed
+        null_sink.write(b"more")  # the caller may still write, then closes it
+
 
 class RecordingSink:
     """Takes every write whole and records when each began, read off ``now``."""
@@ -157,9 +166,6 @@ class RecordingSink:
     def write(self, data):
         self.write_begins.append(self.now())
         return len(data)
-
-    def close(self):
-        pass
 
 
 class FakeClock:
@@ -200,23 +206,15 @@ class TestWaitPolicy:
         assert len(clock.sleep_aims) == frames - 1
         return [schedule.deadline(k + 1) - aim for k, aim in enumerate(clock.sleep_aims)]
 
-    def test_window_grows_after_late_wakes_up_to_the_cap(self, monkeypatch):
-        windows = self._run(monkeypatch, [0.005] * 10)
-        assert windows[0] == pytest.approx(pacer._SPIN_INITIAL_S)
-        assert windows == sorted(windows)
-        assert max(windows) <= pacer._SPIN_MAX_S + 1e-12
-        assert windows[-1] == pytest.approx(pacer._SPIN_MAX_S)
-
-    def test_window_decays_to_its_floor_when_wakes_are_punctual(self, monkeypatch):
-        windows = self._run(monkeypatch, [0.00002] * 100)
-        assert windows[0] == pytest.approx(pacer._SPIN_INITIAL_S)
-        assert all(b < a for a, b in zip(windows, windows[1:]) if a > pacer._SPIN_MIN_S + 1e-9)
-        assert windows[-1] == pytest.approx(pacer._SPIN_MIN_S)
-
-    def test_one_late_wake_doubles_the_window(self, monkeypatch):
-        windows = self._run(monkeypatch, [0.0, 0.0, 0.001, 0.0])
-        assert windows[2] == pytest.approx(windows[1] - pacer._SPIN_DECAY_S)
-        assert windows[3] == pytest.approx(2 * windows[2])
+    @pytest.mark.parametrize("overshoots", [
+        pytest.param([0.005] * 10, id="all-late"),
+        pytest.param([0.00002] * 100, id="all-punctual"),
+        pytest.param([0.0, 0.005, 0.00002, 0.001, 0.0, 0.003, 0.0001], id="mixed"),
+    ])
+    def test_every_sleep_ends_one_fixed_window_before_its_deadline(self, monkeypatch,
+                                                                   overshoots):
+        windows = self._run(monkeypatch, overshoots)
+        assert windows == pytest.approx([pacer._SPIN_S] * len(overshoots))
 
     def test_early_wake_still_waits_for_the_deadline(self, monkeypatch):
         # a sleep cut short (overshoot below zero) leaves the spin to cover the rest
