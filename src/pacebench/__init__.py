@@ -7,7 +7,7 @@ curves.
 
 Re-exports resolve lazily so that light-weight children (the mock encoder
 runs as ``python -m pacebench.mock_encoder`` hundreds of times per
-benchmark) never pay for the numeric stack.
+benchmark) load neither ``pacebench.dataset`` nor ``json``.
 """
 
 __version__ = "0.1.0"

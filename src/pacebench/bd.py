@@ -15,11 +15,11 @@ merged knots of both curves, on which each curve is a single cubic.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import Callable, Sequence
 
 from .curves import RateQualityCurve
 from .errors import (
@@ -32,10 +32,18 @@ from .errors import (
 BD_RATE_METHODS = ("paper_area", "log_domain")
 BD_QUALITY_RATE_DOMAINS = ("linear", "log")
 
-# Exact for the cubic integrands (log_domain, linear bd_quality). 10**cubic
-# and cubic(10**u) need pieces of at most half a decade of rate: at a whole
-# decade, sparse curves were still off by 5e-6.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# The 8-point Gauss-Legendre rule on [-1, 1], exact for the cubic integrands
+# (log_domain, linear bd_quality). 10**cubic and cubic(10**u) need pieces of
+# at most half a decade of rate: at a whole decade, sparse curves were still
+# off by 5e-6.
+_GL_NODES = (
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362,
+)
+_GL_WEIGHTS = (
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
+)
 _MAX_PIECE_DECADES = 0.5
 
 
@@ -128,37 +136,42 @@ def _require_monotone_quality(curve: RateQualityCurve) -> None:
         )
 
 
-def _pchip(x, y) -> Callable:
+def _pchip(x: Sequence[float], y: Sequence[float]) -> Callable[[Sequence[float]], list[float]]:
     """PCHIP through (x, y), both strictly increasing; evaluates without range checks.
 
     Interior slopes are Fritsch-Butland weighted harmonic means of the
     secants; end slopes are the three-point estimate floored at zero (the
     general rule's sign-change clamps never apply to increasing data).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    h = np.diff(x)
-    delta = np.diff(y) / h
-    d = np.full_like(y, delta[0])
+    h = [x1 - x0 for x0, x1 in zip(x, x[1:])]
+    delta = [(y1 - y0) / hk for y0, y1, hk in zip(y, y[1:], h)]
+    d = [delta[0]] * len(x)
     if len(x) > 2:
-        w1 = 2.0 * h[1:] + h[:-1]
-        w2 = h[1:] + 2.0 * h[:-1]
-        d[1:-1] = (w1 + w2) / (w1 / delta[:-1] + w2 / delta[1:])
+        for k in range(1, len(x) - 1):
+            w1 = 2.0 * h[k] + h[k - 1]
+            w2 = h[k] + 2.0 * h[k - 1]
+            d[k] = (w1 + w2) / (w1 / delta[k - 1] + w2 / delta[k])
         d[0] = max(0.0, ((2.0 * h[0] + h[1]) * delta[0] - h[0] * delta[1]) / (h[0] + h[1]))
         d[-1] = max(0.0, ((2.0 * h[-1] + h[-2]) * delta[-1] - h[-1] * delta[-2]) / (h[-1] + h[-2]))
-    c2 = (3.0 * delta - 2.0 * d[:-1] - d[1:]) / h
-    c3 = (d[:-1] + d[1:] - 2.0 * delta) / h**2
+    cubics = [
+        (x0, y0, d0, (3.0 * dk - 2.0 * d0 - d1) / hk, (d0 + d1 - 2.0 * dk) / (hk * hk))
+        for x0, y0, d0, d1, dk, hk in zip(x, y, d, d[1:], delta, h)
+    ]
+    inner = len(x) - 1  # searching x[1:inner] clamps every input to a cubic
 
-    def evaluate(xs):
-        k = np.clip(np.searchsorted(x, xs, side="right") - 1, 0, len(h) - 1)
-        s = xs - x[k]
-        return y[k] + s * (d[k] + s * (c2[k] + s * c3[k]))
+    def evaluate(xs: Sequence[float]) -> list[float]:
+        out = []
+        for xv in xs:
+            x0, y0, d0, c2, c3 = cubics[bisect_right(x, xv, 1, inner) - 1]
+            s = xv - x0
+            out.append(y0 + s * (d0 + s * (c2 + s * c3)))
+        return out
 
     return evaluate
 
 
 def _log_rate_of_quality(curve: RateQualityCurve) -> Callable:
-    return _pchip(curve.qualities, np.log10(curve.rates))
+    return _pchip(curve.qualities, [math.log10(r) for r in curve.rates])
 
 
 def _quality_of_rate(curve: RateQualityCurve) -> Callable:
@@ -168,51 +181,53 @@ def _quality_of_rate(curve: RateQualityCurve) -> Callable:
 def interpolate(curve: RateQualityCurve, axis_in: str, x):
     """Evaluate the curve at ``x`` on ``axis_in``, returning the other axis.
 
-    Exact at the knots; refuses to extrapolate. Scalar in, scalar out;
-    array in, array out.
+    Exact at the knots; refuses to extrapolate. A real number in, a float
+    out; any other iterable of numbers in, a list of floats out.
     """
     _require_monotone_quality(curve)
     if axis_in == "quality":
         lo, hi = curve.quality_range
-        transform = _log_rate_of_quality(curve)
-        post = lambda v: 10.0 ** v
+        log_rate = _log_rate_of_quality(curve)
+        evaluate = lambda xs: [10.0 ** v for v in log_rate(xs)]
     elif axis_in == "rate":
         lo, hi = curve.rate_range
-        transform = _quality_of_rate(curve)
-        post = lambda v: v
+        evaluate = _quality_of_rate(curve)
     else:
         raise ValueError(f"axis_in must be 'quality' or 'rate', got {axis_in!r}")
-    values = np.asarray(x, dtype=float)
-    if values.size and (values.min() < lo or values.max() > hi):
+    scalar = isinstance(x, numbers.Real)
+    values = [float(x)] if scalar else [float(v) for v in x]
+    if values and (min(values) < lo or max(values) > hi):
         raise ExtrapolationError(
             f"input outside the curve's {axis_in} range [{lo:g}, {hi:g}]"
         )
-    out = post(transform(values))
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    out = evaluate(values)
+    return out[0] if scalar else out
 
 
 def _segments(
     test: RateQualityCurve, ref: RateQualityCurve, span: CommonRange
-) -> tuple[np.ndarray, int]:
+) -> tuple[list[float], int]:
     """Merged knots of both curves inside ``span``, and how many even pieces
     each segment needs so that no curve's rate spans over _MAX_PIECE_DECADES."""
-    knots = np.union1d(*(c.qualities if span.axis == "quality" else c.rates for c in (test, ref)))
-    decades = max(np.diff(np.log10(c.rates)).max() for c in (test, ref))
+    knots = sorted(set(
+        test.qualities + ref.qualities if span.axis == "quality" else test.rates + ref.rates
+    ))
+    decades = max(
+        math.log10(r1) - math.log10(r0) for c in (test, ref) for r0, r1 in zip(c.rates, c.rates[1:])
+    )
     pieces = max(1, math.ceil(decades / _MAX_PIECE_DECADES))
-    return knots[(knots >= span.lo) & (knots <= span.hi)], pieces
+    return [k for k in knots if span.lo <= k <= span.hi], pieces
 
 
-def _rule(edges: np.ndarray, pieces: int) -> tuple[np.ndarray, np.ndarray]:
+def _rule(edges: Sequence[float], pieces: int) -> tuple[list[float], list[float]]:
     """Nodes and weights of the mean over [edges[0], edges[-1]]: the
     Gauss-Legendre rule on ``pieces`` even parts of every segment."""
-    edges = np.interp(
-        np.arange((len(edges) - 1) * pieces + 1) / pieces, np.arange(len(edges)), edges
-    )
-    half = np.diff(edges)[:, None] / 2.0
-    nodes = edges[:-1, None] + half * (1.0 + _GL_NODES)
-    return nodes.ravel(), (half * _GL_WEIGHTS).ravel() / (edges[-1] - edges[0])
+    fine = [a + (b - a) * (j / pieces) for a, b in zip(edges, edges[1:]) for j in range(pieces)]
+    fine.append(edges[-1])
+    halves = [(b - a) / 2.0 for a, b in zip(fine, fine[1:])]
+    nodes = [a + half * (1.0 + t) for a, half in zip(fine, halves) for t in _GL_NODES]
+    width = edges[-1] - edges[0]
+    return nodes, [half * w / width for half in halves for w in _GL_WEIGHTS]
 
 
 def bd_rate(
@@ -236,12 +251,14 @@ def bd_rate(
     q, weights = _rule(*_segments(test_p, ref_p, span))
 
     if method == "paper_area":
-        area_test = (10.0 ** log_rate_test(q)) @ weights
-        area_ref = (10.0 ** log_rate_ref(q)) @ weights
-        value = float(100.0 * (area_test - area_ref) / area_ref)
+        area_test = math.fsum(10.0 ** v * w for v, w in zip(log_rate_test(q), weights))
+        area_ref = math.fsum(10.0 ** v * w for v, w in zip(log_rate_ref(q), weights))
+        value = 100.0 * (area_test - area_ref) / area_ref
     elif method == "log_domain":
-        mean_log_delta = (log_rate_test(q) - log_rate_ref(q)) @ weights
-        value = float(100.0 * (10.0 ** mean_log_delta - 1.0))
+        mean_log_delta = math.fsum(
+            (t - r) * w for t, r, w in zip(log_rate_test(q), log_rate_ref(q), weights)
+        )
+        value = 100.0 * (10.0 ** mean_log_delta - 1.0)
     else:
         raise ValueError(f"method must be one of {BD_RATE_METHODS}, got {method!r}")
 
@@ -274,13 +291,15 @@ def bd_quality(
     if rate_domain == "linear":
         rates, weights = _rule(edges, pieces)
     elif rate_domain == "log":
-        log_rates, weights = _rule(np.log10(edges), pieces)
-        rates = 10.0 ** log_rates
+        log_rates, weights = _rule([math.log10(e) for e in edges], pieces)
+        rates = [10.0 ** u for u in log_rates]
     else:
         raise ValueError(
             f"rate_domain must be one of {BD_QUALITY_RATE_DOMAINS}, got {rate_domain!r}"
         )
-    value = float((quality_test(rates) - quality_ref(rates)) @ weights)
+    value = math.fsum(
+        (t - r) * w for t, r, w in zip(quality_test(rates), quality_ref(rates), weights)
+    )
 
     return BdResult(
         kind="bd_quality_points",

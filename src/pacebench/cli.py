@@ -254,7 +254,7 @@ def cmd_bench(args, opts: GlobalOptions) -> int:
 
 
 def cmd_bd(args, opts: GlobalOptions) -> int:
-    from . import bd as bd_metrics  # numpy loads only for bd and report
+    from . import bd as bd_metrics
     ref = load_curve_csv(args.ref)
     test = load_curve_csv(args.test)
     if args.kind == "rate":

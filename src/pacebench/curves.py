@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,7 +35,12 @@ class RateQualityCurve:
             )
         if pts[0][0] <= 0:
             raise InvalidInputError(f"curve '{self.label}': rates must be positive")
-        for (r0, _), (r1, _) in zip(pts, pts[1:]):
+        for (r0, q0), (r1, q1) in zip(pts, pts[1:]):
+            if not all(map(math.isfinite, (r0, q0, r1, q1))):
+                raise InvalidInputError(
+                    f"curve '{self.label}': rates and qualities must be finite, "
+                    f"got ({r0}, {q0}), ({r1}, {q1})"
+                )
             if r1 == r0:
                 raise DuplicatePointError(f"curve '{self.label}': duplicate rate {r0}")
             if r1 < r0:

@@ -550,13 +550,19 @@ def load_benchmark_config(path: str | Path) -> BenchmarkConfig:
         raise ConfigError(f"{path}: config must be a JSON object")
     try:
         profiles = tuple(EncoderProfile.from_dict(p) for p in data["profiles"])
+        bitrates = data["bitrates_kbps"]
+        if not isinstance(bitrates, list) or any(type(b) not in (int, float) for b in bitrates):
+            raise ConfigError(f"{path}: bitrates_kbps must be an array of numbers, got {bitrates!r}")
+        repetitions = data.get("repetitions", 1)
+        if type(repetitions) is not int:  # not bool, nor a float such as 2.7
+            raise ConfigError(f"{path}: repetitions must be an integer, got {repetitions!r}")
         config = BenchmarkConfig(
             profiles=profiles,
             sequences=tuple(data["sequences"]),
-            bitrates_kbps=tuple(data["bitrates_kbps"]),
+            bitrates_kbps=tuple(bitrates),
             modes=tuple(data.get("modes", ["paced", "unpaced"])),
             output_dir=Path(data["output_dir"]),
-            repetitions=int(data.get("repetitions", 1)),
+            repetitions=repetitions,
             manifest=Path(data["manifest"]) if data.get("manifest") else None,
             metric_command=tuple(data["metric_command"]) if data.get("metric_command") else None,
         )

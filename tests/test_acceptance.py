@@ -131,7 +131,7 @@ def _trapezoid_bd_quality(test, ref, rate_domain, panels=10**6):
     else:
         xs = np.linspace(math.log10(span.lo), math.log10(span.hi), panels + 1)
         rates = np.clip(10.0 ** xs, span.lo, span.hi)
-    delta = interpolate(t, "rate", rates) - interpolate(r, "rate", rates)
+    delta = np.subtract(interpolate(t, "rate", rates), interpolate(r, "rate", rates))
     return np.trapezoid(delta, xs) / (xs[-1] - xs[0])
 
 

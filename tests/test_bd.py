@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from pacebench.bd import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     BdResult,
     CommonRange,
     bd_quality,
@@ -17,6 +19,7 @@ from pacebench.curves import RateQualityCurve
 from pacebench.errors import (
     DegenerateCurveError,
     ExtrapolationError,
+    InvalidInputError,
     NoOverlapError,
     PruningWarning,
 )
@@ -58,8 +61,24 @@ def trapezoid_bd_quality(test, ref, rate_domain, panels=10**6):
     else:
         xs = np.linspace(math.log10(span.lo), math.log10(span.hi), panels + 1)
         rates = np.clip(10.0 ** xs, span.lo, span.hi)
-    delta = interpolate(t, "rate", rates) - interpolate(r, "rate", rates)
+    delta = np.subtract(interpolate(t, "rate", rates), interpolate(r, "rate", rates))
     return np.trapezoid(delta, xs) / (xs[-1] - xs[0])
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(math.nan, 55.0), (math.inf, 55.0), (2000.0, math.nan), (2000.0, math.inf), (2000.0, -math.inf)],
+    ids=["nan-rate", "inf-rate", "nan-quality", "inf-quality", "minus-inf-quality"],
+)
+def test_curve_rejects_non_finite_point(point):
+    with pytest.raises(InvalidInputError, match="finite"):
+        RateQualityCurve.from_points([(1000.0, 50.0), point, (3000.0, 60.0)])
+
+
+def test_gauss_legendre_constants_match_numpy():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    np.testing.assert_allclose(_GL_NODES, nodes, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_GL_WEIGHTS, weights, rtol=0, atol=1e-15)
 
 
 class TestPruneMonotone:

@@ -59,6 +59,18 @@ class TestDispatchExitCodes:
         assert err.startswith("error: no-overlap:")
         assert "no common quality range" in err
 
+    @pytest.mark.parametrize(
+        "rows", ["1000,50\n2000,nan\n4000,70\n", "1000,50\n2000,60\ninf,70\n"],
+        ids=["nan-quality", "inf-rate"],
+    )
+    def test_bd_non_finite_point_exits_one(self, tmp_path, capsys, rows):
+        ref = _write_curve(tmp_path, "r.csv", [(1000, 50), (2000, 60), (4000, 70)])
+        test = tmp_path / "t.csv"
+        test.write_text("bitrate_kbps,quality\n" + rows)
+        code = dispatch(["bd", "--ref", str(ref), "--test", str(test), "--kind", "rate"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: invalid-input:")
+
     def test_bd_quality_kinds(self, tmp_path, capsys):
         ref = _write_curve(tmp_path, "r.csv", [(1000, 50), (2000, 60), (4000, 70)])
         test = _write_curve(tmp_path, "t.csv", [(1000, 55), (2000, 65), (4000, 75)])
@@ -301,7 +313,10 @@ def test_mock_encoder_import_stays_light():
 
 
 def test_import_loads_no_numeric_stack():
-    code = "import sys, pacebench.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    code = ("import sys, pacebench.cli, pacebench.bd, pacebench.report; "
+            "curve = pacebench.RateQualityCurve(((1000, 30), (2000, 40), (4000, 50))); "
+            "pacebench.bd.bd_rate(curve, curve); "
+            "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
     src = str(Path(pacebench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -443,6 +443,18 @@ class TestBenchmarkConfig:
         with pytest.raises(ConfigError):
             load_benchmark_config(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("repetitions", 2.7), ("repetitions", "3"), ("repetitions", True),
+         ("bitrates_kbps", ["800", 1600]), ("bitrates_kbps", [True, 1600])],
+        ids=["repetitions-float", "repetitions-string", "repetitions-bool",
+             "bitrate-string", "bitrate-bool"],
+    )
+    def test_non_numeric_value_rejected(self, tmp_path, key, value):
+        path = self._write(tmp_path, self._config_dict(tmp_path, **{key: value}))
+        with pytest.raises(ConfigError, match=key):
+            load_benchmark_config(path)
+
     def test_zero_repetitions(self, tmp_path):
         path = self._write(tmp_path, self._config_dict(tmp_path, repetitions=0))
         with pytest.raises(ConfigError):
