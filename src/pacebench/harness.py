@@ -538,6 +538,13 @@ class BenchmarkConfig:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
 
 
+def _string_array(path: Path, key: str, value) -> tuple[str, ...]:
+    """A config value that must be a JSON array of strings, as a tuple."""
+    if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
+        raise ConfigError(f"{path}: {key} must be an array of strings, got {value!r}")
+    return tuple(value)
+
+
 def load_benchmark_config(path: str | Path) -> BenchmarkConfig:
     """Load a benchmark config; relative paths resolve against the config file."""
     path = Path(path)
@@ -556,15 +563,18 @@ def load_benchmark_config(path: str | Path) -> BenchmarkConfig:
         repetitions = data.get("repetitions", 1)
         if type(repetitions) is not int:  # not bool, nor a float such as 2.7
             raise ConfigError(f"{path}: repetitions must be an integer, got {repetitions!r}")
+        metric_command = data.get("metric_command")
+        if metric_command is not None:
+            metric_command = _string_array(path, "metric_command", metric_command) or None
         config = BenchmarkConfig(
             profiles=profiles,
-            sequences=tuple(data["sequences"]),
+            sequences=_string_array(path, "sequences", data["sequences"]),
             bitrates_kbps=tuple(bitrates),
             modes=tuple(data.get("modes", ["paced", "unpaced"])),
             output_dir=Path(data["output_dir"]),
             repetitions=repetitions,
             manifest=Path(data["manifest"]) if data.get("manifest") else None,
-            metric_command=tuple(data["metric_command"]) if data.get("metric_command") else None,
+            metric_command=metric_command,
         )
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from exc

@@ -313,10 +313,12 @@ def test_mock_encoder_import_stays_light():
 
 
 def test_import_loads_no_numeric_stack():
-    code = ("import sys, pacebench.cli, pacebench.bd, pacebench.report; "
+    # ctypes too: the pacer loads it on its first run, so that start-up does not pay for it
+    code = ("import sys, pacebench.cli, pacebench.bd, pacebench.report, pacebench.harness, "
+            "pacebench.pacer; "
             "curve = pacebench.RateQualityCurve(((1000, 30), (2000, 40), (4000, 50))); "
             "pacebench.bd.bd_rate(curve, curve); "
-            "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+            "print(sorted({'numpy', 'scipy', 'ctypes'} & set(sys.modules)))")
     src = str(Path(pacebench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

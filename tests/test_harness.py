@@ -41,6 +41,10 @@ from pacebench.pacer import PacingReport
 
 from synthetic import make_sequence, mock_profile, write_raw_source
 
+# Read while pytest collects, before any test has run the pacer
+with open("/proc/self/timerslack_ns") as _fh:
+    START_SLACK_NS = int(_fh.read())
+
 
 X264_TEMPLATE = (
     "x264", "--preset", "medium", "--bitrate", "{bitrate_kbps}",
@@ -258,6 +262,16 @@ class TestRunPaced:
         assert 10 <= record.frames_in < source_seq.frame_count
         assert record.pacing is not None
 
+    def test_encoders_never_inherit_the_pacers_timer_slack(self, quick_seq, tmp_path):
+        # a child keeps the timer slack of the thread that started it
+        code = ("import sys, pathlib; sys.stdin.buffer.read();"
+                "sys.stdout.write(pathlib.Path('/proc/self/timerslack_ns').read_text())")
+        profile = EncoderProfile("slack", (sys.executable, "-c", code, "{bitrate_kbps}"),
+                                 output_mode="stdout")
+        for name in ("first.txt", "second.txt"):
+            run_paced(profile, quick_seq, 800, output_path=tmp_path / name)
+            assert int((tmp_path / name).read_text()) == START_SLACK_NS
+
 
 def _script_profile(name: str, code: str, **kwargs) -> EncoderProfile:
     """A child running ``code`` with sys.argv[1] = {output}."""
@@ -446,9 +460,12 @@ class TestBenchmarkConfig:
     @pytest.mark.parametrize(
         "key, value",
         [("repetitions", 2.7), ("repetitions", "3"), ("repetitions", True),
-         ("bitrates_kbps", ["800", 1600]), ("bitrates_kbps", [True, 1600])],
+         ("bitrates_kbps", ["800", 1600]), ("bitrates_kbps", [True, 1600]),
+         ("sequences", "SY25"), ("sequences", ["SY25", 7]),
+         ("metric_command", "vmaf"), ("metric_command", ["vmaf", None])],
         ids=["repetitions-float", "repetitions-string", "repetitions-bool",
-             "bitrate-string", "bitrate-bool"],
+             "bitrate-string", "bitrate-bool", "sequences-string", "sequences-number",
+             "metric-command-string", "metric-command-null"],
     )
     def test_non_numeric_value_rejected(self, tmp_path, key, value):
         path = self._write(tmp_path, self._config_dict(tmp_path, **{key: value}))

@@ -1,3 +1,4 @@
+import ctypes
 import os
 import threading
 import time
@@ -6,8 +7,14 @@ import numpy as np
 import pytest
 
 from pacebench import pacer
-from pacebench.errors import DeliveryAbortedError, InvalidInputError, InvalidRateError
+from pacebench.errors import (
+    DeliveryAbortedError,
+    InvalidInputError,
+    InvalidRateError,
+    TruncationError,
+)
 from pacebench.pacer import (
+    FileSpan,
     PacingSchedule,
     buffer_latency,
     frame_interval,
@@ -219,3 +226,72 @@ class TestWaitPolicy:
     def test_early_wake_still_waits_for_the_deadline(self, monkeypatch):
         # a sleep cut short (overshoot below zero) leaves the spin to cover the rest
         self._run(monkeypatch, [-0.005, 0.0, -0.0001])
+
+
+_PR_GET_TIMERSLACK = 30
+_prctl = ctypes.CDLL(None, use_errno=True).prctl
+_prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
+_prctl.restype = ctypes.c_int
+
+
+def thread_slack_ns() -> int:
+    """The calling thread's timer slack, read with PR_GET_TIMERSLACK."""
+    return _prctl(_PR_GET_TIMERSLACK, 0, 0, 0, 0)
+
+
+# Read while pytest collects, before any test has run the pacer
+START_SLACK_NS = thread_slack_ns()
+
+
+class SlackSink:
+    """Takes every write whole and records the writing thread's timer slack;
+    raises BrokenPipeError, as a pipe whose reader left, after ``fail_after`` writes."""
+
+    def __init__(self, fail_after=None):
+        self.fail_after = fail_after
+        self.slacks: list[int] = []
+
+    def write(self, data):
+        if len(self.slacks) == self.fail_after:
+            raise BrokenPipeError("consumer gone")
+        self.slacks.append(thread_slack_ns())
+        return len(data)
+
+
+class TestTimerSlack:
+    """The paced loop runs at 1 ns timer slack, and the thread's own slack comes back after."""
+
+    def test_every_write_runs_at_one_nanosecond(self):
+        sink = SlackSink()
+        run_paced([b"x" * 6] * 20, sink, 200, 1)
+        assert sink.slacks == [1] * 20
+        assert thread_slack_ns() == START_SLACK_NS
+
+    def test_restored_after_the_consumer_goes(self):
+        sink = SlackSink(fail_after=3)
+        with pytest.raises(DeliveryAbortedError) as err:
+            run_paced([b"x" * 6] * 20, sink, 200, 1)
+        assert err.value.pacing_report.frames_sent == 3
+        assert sink.slacks == [1] * 3
+        assert thread_slack_ns() == START_SLACK_NS
+
+    def test_restored_after_a_short_file_span(self, tmp_path, null_sink):
+        source = tmp_path / "short.yuv"
+        source.write_bytes(b"\0" * 10)
+        with open(source, "rb") as fh, pytest.raises(TruncationError):
+            run_paced([FileSpan(fh.fileno(), 0, 100, b"", 0)], null_sink, 200, 1)
+        assert thread_slack_ns() == START_SLACK_NS
+
+    @pytest.mark.parametrize("failure", ["load", "call"])
+    def test_run_goes_on_where_prctl_fails(self, monkeypatch, failure):
+        def no_libc():
+            raise OSError("prctl is not reachable")
+
+        monkeypatch.setattr(pacer, "_libc_prctl",
+                            no_libc if failure == "load" else lambda: lambda *args: -1)
+        sink = SlackSink()
+        report = run_paced([b"x" * 6] * 10, sink, 200, 1)
+        assert report.frames_sent == 10
+        assert len(report.lateness_per_frame) == 10
+        assert sink.slacks == [START_SLACK_NS] * 10
+        assert thread_slack_ns() == START_SLACK_NS
