@@ -8,8 +8,9 @@ interpolated as log10(rate) and exponentiated on output, which makes the
 classic constant-ratio identity exact and the result invariant under
 rate-unit changes.
 
-Integrals apply a fixed Gauss-Legendre rule to each segment between the
-merged knots of both curves, on which each curve is a single cubic.
+Both deltas are linear in the two curves, so each curve is integrated
+alone over its own cubic pieces, clipped to the common range: exactly for
+a cubic integrand, by a fixed Gauss-Legendre rule otherwise.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numbers
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .curves import RateQualityCurve
 from .errors import (
@@ -32,10 +33,9 @@ from .errors import (
 BD_RATE_METHODS = ("paper_area", "log_domain")
 BD_QUALITY_RATE_DOMAINS = ("linear", "log")
 
-# The 8-point Gauss-Legendre rule on [-1, 1], exact for the cubic integrands
-# (log_domain, linear bd_quality). 10**cubic and cubic(10**u) need pieces of
-# at most half a decade of rate: at a whole decade, sparse curves were still
-# off by 5e-6.
+# The 8-point Gauss-Legendre rule on [-1, 1], for 10**cubic and cubic(10**u).
+# Each piece is cut into parts of at most half a decade of rate: with whole
+# decades, random sparse curve pairs were off by up to 5e-7.
 _GL_NODES = (
     -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
     0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362,
@@ -45,6 +45,8 @@ _GL_WEIGHTS = (
     0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
 )
 _MAX_PIECE_DECADES = 0.5
+
+_Piece = tuple[float, float, float, float, float, float]  # (x0, x1, y0, d0, c2, c3)
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,8 @@ def prune_monotone(curve: RateQualityCurve) -> RateQualityCurve:
     Scanning by ascending rate, a point whose quality does not improve on
     the best seen so far is dropped (with a PruningWarning listing the
     casualties). The result is strictly increasing on both axes, which the
-    interpolant needs to be invertible.
+    interpolant needs to be invertible. A curve with nothing to drop is
+    returned as it is.
     """
     kept: list[tuple[float, float]] = []
     dropped: list[tuple[float, float]] = []
@@ -106,7 +109,7 @@ def prune_monotone(curve: RateQualityCurve) -> RateQualityCurve:
         raise DegenerateCurveError(
             f"curve '{curve.label}': fewer than 2 points survive monotone pruning"
         )
-    return RateQualityCurve(tuple(kept), label=curve.label)
+    return RateQualityCurve(tuple(kept), label=curve.label) if dropped else curve
 
 
 def common_range(curve_a: RateQualityCurve, curve_b: RateQualityCurve, axis: str) -> CommonRange:
@@ -127,17 +130,9 @@ def common_range(curve_a: RateQualityCurve, curve_b: RateQualityCurve, axis: str
     return CommonRange(lo, hi, axis)
 
 
-def _require_monotone_quality(curve: RateQualityCurve) -> None:
-    qs = curve.qualities
-    if any(q1 <= q0 for q0, q1 in zip(qs, qs[1:])):
-        raise DegenerateCurveError(
-            f"curve '{curve.label}' is not strictly increasing in quality; "
-            "apply prune_monotone first"
-        )
-
-
-def _pchip(x: Sequence[float], y: Sequence[float]) -> Callable[[Sequence[float]], list[float]]:
-    """PCHIP through (x, y), both strictly increasing; evaluates without range checks.
+def _pieces(x: Sequence[float], y: Sequence[float]) -> list[_Piece]:
+    """PCHIP through (x, y), both strictly increasing: y0 + s*(d0 + s*(c2 + s*c3))
+    at s = x - x0 on each interval [x0, x1].
 
     Interior slopes are Fritsch-Butland weighted harmonic means of the
     secants; end slopes are the three-point estimate floored at zero (the
@@ -153,29 +148,14 @@ def _pchip(x: Sequence[float], y: Sequence[float]) -> Callable[[Sequence[float]]
             d[k] = (w1 + w2) / (w1 / delta[k - 1] + w2 / delta[k])
         d[0] = max(0.0, ((2.0 * h[0] + h[1]) * delta[0] - h[0] * delta[1]) / (h[0] + h[1]))
         d[-1] = max(0.0, ((2.0 * h[-1] + h[-2]) * delta[-1] - h[-1] * delta[-2]) / (h[-1] + h[-2]))
-    cubics = [
-        (x0, y0, d0, (3.0 * dk - 2.0 * d0 - d1) / hk, (d0 + d1 - 2.0 * dk) / (hk * hk))
-        for x0, y0, d0, d1, dk, hk in zip(x, y, d, d[1:], delta, h)
+    return [
+        (x0, x1, y0, d0, (3.0 * dk - 2.0 * d0 - d1) / hk, (d0 + d1 - 2.0 * dk) / (hk * hk))
+        for x0, x1, y0, d0, d1, dk, hk in zip(x, x[1:], y, d, d[1:], delta, h)
     ]
-    inner = len(x) - 1  # searching x[1:inner] clamps every input to a cubic
-
-    def evaluate(xs: Sequence[float]) -> list[float]:
-        out = []
-        for xv in xs:
-            x0, y0, d0, c2, c3 = cubics[bisect_right(x, xv, 1, inner) - 1]
-            s = xv - x0
-            out.append(y0 + s * (d0 + s * (c2 + s * c3)))
-        return out
-
-    return evaluate
 
 
-def _log_rate_of_quality(curve: RateQualityCurve) -> Callable:
-    return _pchip(curve.qualities, [math.log10(r) for r in curve.rates])
-
-
-def _quality_of_rate(curve: RateQualityCurve) -> Callable:
-    return _pchip(curve.rates, curve.qualities)
+def _log_rate_pieces(curve: RateQualityCurve) -> list[_Piece]:
+    return _pieces(curve.qualities, [math.log10(r) for r in curve.rates])
 
 
 def interpolate(curve: RateQualityCurve, axis_in: str, x):
@@ -184,14 +164,18 @@ def interpolate(curve: RateQualityCurve, axis_in: str, x):
     Exact at the knots; refuses to extrapolate. A real number in, a float
     out; any other iterable of numbers in, a list of floats out.
     """
-    _require_monotone_quality(curve)
+    qs = curve.qualities
+    if any(q1 <= q0 for q0, q1 in zip(qs, qs[1:])):
+        raise DegenerateCurveError(
+            f"curve '{curve.label}' is not strictly increasing in quality; "
+            "apply prune_monotone first"
+        )
     if axis_in == "quality":
         lo, hi = curve.quality_range
-        log_rate = _log_rate_of_quality(curve)
-        evaluate = lambda xs: [10.0 ** v for v in log_rate(xs)]
+        pieces = _log_rate_pieces(curve)
     elif axis_in == "rate":
         lo, hi = curve.rate_range
-        evaluate = _quality_of_rate(curve)
+        pieces = _pieces(curve.rates, qs)
     else:
         raise ValueError(f"axis_in must be 'quality' or 'rate', got {axis_in!r}")
     scalar = isinstance(x, numbers.Real)
@@ -200,34 +184,55 @@ def interpolate(curve: RateQualityCurve, axis_in: str, x):
         raise ExtrapolationError(
             f"input outside the curve's {axis_in} range [{lo:g}, {hi:g}]"
         )
-    out = evaluate(values)
+    starts = [piece[0] for piece in pieces]  # searching from starts[1] clamps the ends
+    out = []
+    for xv in values:
+        x0, _, y0, d0, c2, c3 = pieces[bisect_right(starts, xv, 1) - 1]
+        s = xv - x0
+        out.append(y0 + s * (d0 + s * (c2 + s * c3)))
+    if axis_in == "quality":
+        out = [10.0 ** v for v in out]
     return out[0] if scalar else out
 
 
-def _segments(
-    test: RateQualityCurve, ref: RateQualityCurve, span: CommonRange
-) -> tuple[list[float], int]:
-    """Merged knots of both curves inside ``span``, and how many even pieces
-    each segment needs so that no curve's rate spans over _MAX_PIECE_DECADES."""
-    knots = sorted(set(
-        test.qualities + ref.qualities if span.axis == "quality" else test.rates + ref.rates
-    ))
-    decades = max(
-        math.log10(r1) - math.log10(r0) for c in (test, ref) for r0, r1 in zip(c.rates, c.rates[1:])
-    )
-    pieces = max(1, math.ceil(decades / _MAX_PIECE_DECADES))
-    return [k for k in knots if span.lo <= k <= span.hi], pieces
+def _cubic_integral(pieces: list[_Piece], span: CommonRange) -> float:
+    """Exact integral of the pieces over the span, by each cubic's antiderivative."""
+    terms = []
+    for x0, x1, y0, d0, c2, c3 in pieces:
+        a, b = max(x0, span.lo) - x0, min(x1, span.hi) - x0
+        if a < b:  # the integral of s**k over [a, b] is (b - a) * sum(a**i * b**(k-i)) / (k+1)
+            terms.append((b - a) * (y0 + d0 * (a + b) / 2.0 + c2 * (a * a + a * b + b * b) / 3.0
+                                    + c3 * (a + b) * (a * a + b * b) / 4.0))
+    return math.fsum(terms)
 
 
-def _rule(edges: Sequence[float], pieces: int) -> tuple[list[float], list[float]]:
-    """Nodes and weights of the mean over [edges[0], edges[-1]]: the
-    Gauss-Legendre rule on ``pieces`` even parts of every segment."""
-    fine = [a + (b - a) * (j / pieces) for a, b in zip(edges, edges[1:]) for j in range(pieces)]
-    fine.append(edges[-1])
-    halves = [(b - a) / 2.0 for a, b in zip(fine, fine[1:])]
-    nodes = [a + half * (1.0 + t) for a, half in zip(fine, halves) for t in _GL_NODES]
-    width = edges[-1] - edges[0]
-    return nodes, [half * w / width for half in halves for w in _GL_WEIGHTS]
+def _gauss_integral(pieces: list[_Piece], span: CommonRange, over_log_rate: bool) -> float:
+    """Integral over the span of 10**piece, or with ``over_log_rate`` of the piece
+    over log10 of its rate axis, by the Gauss-Legendre rule on each piece.
+
+    A piece is cut into even parts, one per _MAX_PIECE_DECADES of the rate it
+    spans: the rise of its log10(rate) values, or the log10 of its knots' ratio.
+    """
+    terms = []
+    for x0, x1, y0, d0, c2, c3 in pieces:
+        a, b = max(x0, span.lo), min(x1, span.hi)
+        if a >= b:
+            continue
+        if over_log_rate:
+            a, b, decades = math.log10(a), math.log10(b), math.log10(x1 / x0)
+        else:
+            h = x1 - x0
+            decades = h * (d0 + h * (c2 + h * c3))
+        parts = max(1, math.ceil(decades / _MAX_PIECE_DECADES))
+        half = (b - a) / (2 * parts)
+        for j in range(parts):
+            mid = a + half * (2 * j + 1)
+            for t, w in zip(_GL_NODES, _GL_WEIGHTS):
+                u = mid + half * t
+                s = (10.0 ** u if over_log_rate else u) - x0
+                y = y0 + s * (d0 + s * (c2 + s * c3))
+                terms.append(w * half * (y if over_log_rate else 10.0 ** y))
+    return math.fsum(terms)
 
 
 def bd_rate(
@@ -238,37 +243,31 @@ def bd_rate(
     """Average bitrate delta (%) at equal quality; negative = test is cheaper.
 
     ``paper_area`` compares the areas under the two rate(quality) curves over
-    the common quality range, normalized by the reference area. ``log_domain``
-    averages log10(rate_test) - log10(rate_ref) and converts the mean back to
-    a percentage. Both integrate log10(rate) of quality, one Gauss-Legendre
-    sum per segment between the curves' merged quality knots.
+    the common quality range, divided by the reference's area. PAPER.md
+    divides "by the area to the left of the aomenc-rt8 blue curve", its
+    anchor; the reference's area gives a constant rate ratio c exactly
+    100(c - 1) %, where the anchor's would turn the paper's -21.68 into
+    -27.68. ``log_domain`` averages log10(rate_test) - log10(rate_ref) and
+    converts the mean back to a percentage. Each curve's log10(rate) is
+    integrated alone over its own pieces: exactly for ``log_domain``, by
+    the Gauss-Legendre rule on 10**piece for ``paper_area``.
     """
     test_p = prune_monotone(test)
     ref_p = prune_monotone(ref)
     span = common_range(test_p, ref_p, "quality")
-    log_rate_test = _log_rate_of_quality(test_p)
-    log_rate_ref = _log_rate_of_quality(ref_p)
-    q, weights = _rule(*_segments(test_p, ref_p, span))
+    pieces = (_log_rate_pieces(test_p), _log_rate_pieces(ref_p))
 
     if method == "paper_area":
-        area_test = math.fsum(10.0 ** v * w for v, w in zip(log_rate_test(q), weights))
-        area_ref = math.fsum(10.0 ** v * w for v, w in zip(log_rate_ref(q), weights))
+        area_test, area_ref = (_gauss_integral(p, span, over_log_rate=False) for p in pieces)
         value = 100.0 * (area_test - area_ref) / area_ref
     elif method == "log_domain":
-        mean_log_delta = math.fsum(
-            (t - r) * w for t, r, w in zip(log_rate_test(q), log_rate_ref(q), weights)
-        )
-        value = 100.0 * (10.0 ** mean_log_delta - 1.0)
+        log_test, log_ref = (_cubic_integral(p, span) for p in pieces)
+        value = 100.0 * (10.0 ** ((log_test - log_ref) / (span.hi - span.lo)) - 1.0)
     else:
         raise ValueError(f"method must be one of {BD_RATE_METHODS}, got {method!r}")
 
-    return BdResult(
-        kind="bd_rate_percent",
-        value=value,
-        common_range=span,
-        method=method,
-        points_used=(len(test_p.points), len(ref_p.points)),
-    )
+    return BdResult(kind="bd_rate_percent", value=value, common_range=span, method=method,
+                    points_used=(len(test_p.points), len(ref_p.points)))
 
 
 def bd_quality(
@@ -284,27 +283,19 @@ def bd_quality(
     test_p = prune_monotone(test)
     ref_p = prune_monotone(ref)
     span = common_range(test_p, ref_p, "rate")
-    quality_test = _quality_of_rate(test_p)
-    quality_ref = _quality_of_rate(ref_p)
-    edges, pieces = _segments(test_p, ref_p, span)
+    pieces = (_pieces(test_p.rates, test_p.qualities), _pieces(ref_p.rates, ref_p.qualities))
 
     if rate_domain == "linear":
-        rates, weights = _rule(edges, pieces)
+        area_test, area_ref = (_cubic_integral(p, span) for p in pieces)
+        width = span.hi - span.lo
     elif rate_domain == "log":
-        log_rates, weights = _rule([math.log10(e) for e in edges], pieces)
-        rates = [10.0 ** u for u in log_rates]
+        area_test, area_ref = (_gauss_integral(p, span, over_log_rate=True) for p in pieces)
+        width = math.log10(span.hi) - math.log10(span.lo)
     else:
         raise ValueError(
             f"rate_domain must be one of {BD_QUALITY_RATE_DOMAINS}, got {rate_domain!r}"
         )
-    value = math.fsum(
-        (t - r) * w for t, r, w in zip(quality_test(rates), quality_ref(rates), weights)
-    )
+    value = (area_test - area_ref) / width
 
-    return BdResult(
-        kind="bd_quality_points",
-        value=value,
-        common_range=span,
-        method=rate_domain,
-        points_used=(len(test_p.points), len(ref_p.points)),
-    )
+    return BdResult(kind="bd_quality_points", value=value, common_range=span, method=rate_domain,
+                    points_used=(len(test_p.points), len(ref_p.points)))

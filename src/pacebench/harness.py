@@ -174,7 +174,8 @@ class EncoderProfile:
         try:
             return cls(
                 name=data["name"],
-                command_template=tuple(data["command_template"]),
+                command_template=_string_array(f"profile '{data['name']}'", "command_template",
+                                               data["command_template"]),
                 input_mode=InputMode(data.get("input_mode", "stdin_raw")),
                 output_mode=OutputMode(data.get("output_mode", "file")),
             )
@@ -538,10 +539,10 @@ class BenchmarkConfig:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
 
 
-def _string_array(path: Path, key: str, value) -> tuple[str, ...]:
+def _string_array(where: str | Path, key: str, value) -> tuple[str, ...]:
     """A config value that must be a JSON array of strings, as a tuple."""
     if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
-        raise ConfigError(f"{path}: {key} must be an array of strings, got {value!r}")
+        raise ConfigError(f"{where}: {key} must be an array of strings, got {value!r}")
     return tuple(value)
 
 
@@ -570,7 +571,7 @@ def load_benchmark_config(path: str | Path) -> BenchmarkConfig:
             profiles=profiles,
             sequences=_string_array(path, "sequences", data["sequences"]),
             bitrates_kbps=tuple(bitrates),
-            modes=tuple(data.get("modes", ["paced", "unpaced"])),
+            modes=_string_array(path, "modes", data.get("modes", ["paced", "unpaced"])),
             output_dir=Path(data["output_dir"]),
             repetitions=repetitions,
             manifest=Path(data["manifest"]) if data.get("manifest") else None,

@@ -1,4 +1,5 @@
-"""Test helpers: synthetic sequences and sources, and mock encoder profiles.
+"""Test helpers: synthetic sequences and sources, mock encoder profiles, and
+the dense-trapezoid BD oracle.
 
 A module with its own name, so that ``from synthetic import ...`` finds it
 whichever ``conftest.py`` pytest loaded last.
@@ -6,9 +7,11 @@ whichever ``conftest.py`` pytest loaded last.
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
+from pacebench.bd import common_range, interpolate, prune_monotone
 from pacebench.dataset import VideoSequence, build_y4m_header
 from pacebench.harness import EncoderProfile
 
@@ -88,3 +91,38 @@ def mock_profile(
         input_mode=input_mode,
         output_mode=output_mode,
     )
+
+
+# Independent BD oracle: dense trapezoid integration over the same interpolant
+# (the package's interpolate()), never the package's quadrature. numpy is
+# imported here, not at the top, so that the other helpers do not need it.
+
+def trapezoid_bd_rate(test, ref, method, panels=10**6):
+    import numpy as np
+
+    t, r = prune_monotone(test), prune_monotone(ref)
+    span = common_range(t, r, "quality")
+    qs = np.linspace(span.lo, span.hi, panels + 1)
+    rate_t = interpolate(t, "quality", qs)
+    rate_r = interpolate(r, "quality", qs)
+    if method == "paper_area":
+        area_t = np.trapezoid(rate_t, qs)
+        area_r = np.trapezoid(rate_r, qs)
+        return 100.0 * (area_t - area_r) / area_r
+    mean_delta = np.trapezoid(np.log10(rate_t) - np.log10(rate_r), qs) / (span.hi - span.lo)
+    return 100.0 * (10.0 ** mean_delta - 1.0)
+
+
+def trapezoid_bd_quality(test, ref, rate_domain, panels=10**6):
+    import numpy as np
+
+    t, r = prune_monotone(test), prune_monotone(ref)
+    span = common_range(t, r, "rate")
+    if rate_domain == "linear":
+        xs = np.linspace(span.lo, span.hi, panels + 1)
+        rates = xs
+    else:
+        xs = np.linspace(math.log10(span.lo), math.log10(span.hi), panels + 1)
+        rates = np.clip(10.0 ** xs, span.lo, span.hi)
+    delta = np.subtract(interpolate(t, "rate", rates), interpolate(r, "rate", rates))
+    return np.trapezoid(delta, xs) / (xs[-1] - xs[0])

@@ -7,7 +7,6 @@ machine, as real-time pacing measurements always do.
 
 import csv
 import json
-import math
 import os
 import warnings
 from contextlib import contextmanager
@@ -26,7 +25,14 @@ from pacebench.pacer import buffer_latency, run_paced as pace_frames
 from pacebench.quality import MosLabel, vmaf_to_mos
 from pacebench.report import group_average
 
-from synthetic import make_sequence, mock_profile, write_raw_source, write_y4m_source
+from synthetic import (
+    make_sequence,
+    mock_profile,
+    trapezoid_bd_quality,
+    trapezoid_bd_rate,
+    write_raw_source,
+    write_y4m_source,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -106,35 +112,6 @@ def _eight_point_curve(base_rate=800.0, label="ref"):
     return RateQualityCurve(tuple(zip(rates, qualities)), label=label)
 
 
-def _trapezoid_bd_rate(test, ref, method, panels=10**6):
-    from pacebench.bd import interpolate
-
-    t, r = prune_monotone(test), prune_monotone(ref)
-    span = common_range(t, r, "quality")
-    qs = np.linspace(span.lo, span.hi, panels + 1)
-    rate_t = interpolate(t, "quality", qs)
-    rate_r = interpolate(r, "quality", qs)
-    if method == "paper_area":
-        return 100.0 * (np.trapezoid(rate_t, qs) - np.trapezoid(rate_r, qs)) / np.trapezoid(rate_r, qs)
-    mean = np.trapezoid(np.log10(rate_t) - np.log10(rate_r), qs) / (span.hi - span.lo)
-    return 100.0 * (10.0 ** mean - 1.0)
-
-
-def _trapezoid_bd_quality(test, ref, rate_domain, panels=10**6):
-    from pacebench.bd import interpolate
-
-    t, r = prune_monotone(test), prune_monotone(ref)
-    span = common_range(t, r, "rate")
-    if rate_domain == "linear":
-        xs = np.linspace(span.lo, span.hi, panels + 1)
-        rates = xs
-    else:
-        xs = np.linspace(math.log10(span.lo), math.log10(span.hi), panels + 1)
-        rates = np.clip(10.0 ** xs, span.lo, span.hi)
-    delta = np.subtract(interpolate(t, "rate", rates), interpolate(r, "rate", rates))
-    return np.trapezoid(delta, xs) / (xs[-1] - xs[0])
-
-
 def test_criterion_03_bd_analytic_oracles():
     with criterion(3, "BD analytic oracles"):
         ref = _eight_point_curve()
@@ -162,11 +139,11 @@ def test_criterion_03_bd_analytic_oracles():
         )
         for method in ("paper_area", "log_domain"):
             assert bd_rate(bumpy, ref, method).value == pytest.approx(
-                _trapezoid_bd_rate(bumpy, ref, method), abs=1e-6
+                trapezoid_bd_rate(bumpy, ref, method), abs=1e-6
             )
         for domain in ("linear", "log"):
             assert bd_quality(bumpy, ref, domain).value == pytest.approx(
-                _trapezoid_bd_quality(bumpy, ref, domain), abs=1e-6
+                trapezoid_bd_quality(bumpy, ref, domain), abs=1e-6
             )
 
 
@@ -205,10 +182,10 @@ def test_criterion_04_randomized_property_suite():
             # interpolant, on every tenth pair (the oracle is the slow part)
             if pair_index % 10 == 0:
                 for method in ("paper_area", "log_domain"):
-                    oracle = _trapezoid_bd_rate(test, ref, method, panels=2 * 10**5)
+                    oracle = trapezoid_bd_rate(test, ref, method, panels=2 * 10**5)
                     assert abs(bd_rate(test, ref, method).value - oracle) < 1e-7
                 for domain in ("linear", "log"):
-                    oracle = _trapezoid_bd_quality(test, ref, domain, panels=2 * 10**5)
+                    oracle = trapezoid_bd_quality(test, ref, domain, panels=2 * 10**5)
                     assert abs(bd_quality(test, ref, domain).value - oracle) < 1e-7
 
             # sign antisymmetry under strict dominance (constant ratio, same knots)

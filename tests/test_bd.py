@@ -23,6 +23,7 @@ from pacebench.errors import (
     NoOverlapError,
     PruningWarning,
 )
+from synthetic import trapezoid_bd_quality, trapezoid_bd_rate
 
 
 def make_curve(rates, qualities, label=""):
@@ -33,36 +34,6 @@ def synthetic_curve(n=8, lo_q=30.0, hi_q=65.0, base_rate=800.0, label="synth"):
     qs = np.linspace(lo_q, hi_q, n)
     rs = base_rate * np.exp((qs - lo_q) / 12.0)
     return make_curve(rs, qs, label)
-
-
-# Independent oracle: dense trapezoid integration over the same interpolant
-# (the package's interpolate()), never the package's quadrature.
-
-def trapezoid_bd_rate(test, ref, method, panels=10**6):
-    t, r = prune_monotone(test), prune_monotone(ref)
-    span = common_range(t, r, "quality")
-    qs = np.linspace(span.lo, span.hi, panels + 1)
-    rate_t = interpolate(t, "quality", qs)
-    rate_r = interpolate(r, "quality", qs)
-    if method == "paper_area":
-        area_t = np.trapezoid(rate_t, qs)
-        area_r = np.trapezoid(rate_r, qs)
-        return 100.0 * (area_t - area_r) / area_r
-    mean_delta = np.trapezoid(np.log10(rate_t) - np.log10(rate_r), qs) / (span.hi - span.lo)
-    return 100.0 * (10.0 ** mean_delta - 1.0)
-
-
-def trapezoid_bd_quality(test, ref, rate_domain, panels=10**6):
-    t, r = prune_monotone(test), prune_monotone(ref)
-    span = common_range(t, r, "rate")
-    if rate_domain == "linear":
-        xs = np.linspace(span.lo, span.hi, panels + 1)
-        rates = xs
-    else:
-        xs = np.linspace(math.log10(span.lo), math.log10(span.hi), panels + 1)
-        rates = np.clip(10.0 ** xs, span.lo, span.hi)
-    delta = np.subtract(interpolate(t, "rate", rates), interpolate(r, "rate", rates))
-    return np.trapezoid(delta, xs) / (xs[-1] - xs[0])
 
 
 @pytest.mark.parametrize(
@@ -92,7 +63,7 @@ class TestPruneMonotone:
         curve = make_curve([1, 2, 3], [10, 20, 30])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert prune_monotone(curve).points == curve.points
+            assert prune_monotone(curve) is curve
 
     def test_degenerate(self):
         with pytest.warns(PruningWarning):
@@ -322,6 +293,38 @@ class TestCrossCuttingProperties:
         for domain in ("linear", "log"):
             oracle = trapezoid_bd_quality(test, ref, domain)
             assert bd_quality(test, ref, domain).value == pytest.approx(oracle, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "test_points",
+        [
+            # inside the reference on both axes: the reference is cut at both ends
+            [(1500, 35), (2600, 45), (2700, 44), (4500, 52), (7000, 56)],
+            # staggered: the range starts inside a reference piece, ends inside a test piece
+            [(1500, 35), (2600, 45), (2700, 44), (5000, 55), (11000, 66)],
+        ],
+        ids=["nested", "staggered"],
+    )
+    def test_common_range_ends_inside_pieces(self, test_points):
+        # Each end of both common ranges falls strictly inside a piece of a
+        # curve, so the integrals start and end on partial pieces; the test
+        # curve loses (2700, 44) to pruning.
+        ref = make_curve([1000, 2000, 4000, 8000], [30, 40, 50, 60], "ref")
+        test = make_curve(*zip(*test_points), "test")
+        with pytest.warns(PruningWarning):
+            pruned = prune_monotone(test)
+        for axis, column in (("quality", 1), ("rate", 0)):
+            span = common_range(pruned, ref, axis)
+            for end in (span.lo, span.hi):
+                assert any(a[column] < end < b[column]
+                           for c in (pruned, ref) for a, b in zip(c.points, c.points[1:]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PruningWarning)
+            for method in ("paper_area", "log_domain"):
+                oracle = trapezoid_bd_rate(test, ref, method)
+                assert bd_rate(test, ref, method).value == pytest.approx(oracle, abs=1e-6)
+            for domain in ("linear", "log"):
+                oracle = trapezoid_bd_quality(test, ref, domain)
+                assert bd_quality(test, ref, domain).value == pytest.approx(oracle, abs=1e-6)
 
     def test_sign_antisymmetry_under_dominance(self):
         ref = synthetic_curve(label="ref")

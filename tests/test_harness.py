@@ -462,14 +462,26 @@ class TestBenchmarkConfig:
         [("repetitions", 2.7), ("repetitions", "3"), ("repetitions", True),
          ("bitrates_kbps", ["800", 1600]), ("bitrates_kbps", [True, 1600]),
          ("sequences", "SY25"), ("sequences", ["SY25", 7]),
-         ("metric_command", "vmaf"), ("metric_command", ["vmaf", None])],
+         ("metric_command", "vmaf"), ("metric_command", ["vmaf", None]),
+         ("modes", "paced"), ("modes", ["paced", 1])],
         ids=["repetitions-float", "repetitions-string", "repetitions-bool",
              "bitrate-string", "bitrate-bool", "sequences-string", "sequences-number",
-             "metric-command-string", "metric-command-null"],
+             "metric-command-string", "metric-command-null", "modes-string", "modes-number"],
     )
     def test_non_numeric_value_rejected(self, tmp_path, key, value):
         path = self._write(tmp_path, self._config_dict(tmp_path, **{key: value}))
         with pytest.raises(ConfigError, match=key):
+            load_benchmark_config(path)
+
+    @pytest.mark.parametrize(
+        "template", ["x264 --bitrate {bitrate_kbps} -o {output}", ["x264", 264]],
+        ids=["string", "number"],
+    )
+    def test_command_template_must_be_string_array(self, tmp_path, template):
+        data = self._config_dict(tmp_path)
+        data["profiles"][0]["command_template"] = template
+        path = self._write(tmp_path, data)
+        with pytest.raises(ConfigError, match="profile 'mock': command_template"):
             load_benchmark_config(path)
 
     def test_zero_repetitions(self, tmp_path):
