@@ -10,7 +10,10 @@ rate-unit changes.
 
 Both deltas are linear in the two curves, so each curve is integrated
 alone over its own cubic pieces, clipped to the common range: exactly for
-a cubic integrand, by a fixed Gauss-Legendre rule otherwise.
+a cubic integrand, by a fixed Gauss-Legendre rule otherwise. A common range
+cuts at most a curve's first and last piece; the whole pieces between them
+are integrated once per ``PreparedCurve``, so an anchor compared with many
+competitors is pruned, interpolated and integrated once, not per pair.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from .curves import RateQualityCurve
@@ -195,49 +199,111 @@ def interpolate(curve: RateQualityCurve, axis_in: str, x):
     return out[0] if scalar else out
 
 
-def _cubic_integral(pieces: list[_Piece], span: CommonRange) -> float:
-    """Exact integral of the pieces over the span, by each cubic's antiderivative."""
-    terms = []
-    for x0, x1, y0, d0, c2, c3 in pieces:
-        a, b = max(x0, span.lo) - x0, min(x1, span.hi) - x0
-        if a < b:  # the integral of s**k over [a, b] is (b - a) * sum(a**i * b**(k-i)) / (k+1)
-            terms.append((b - a) * (y0 + d0 * (a + b) / 2.0 + c2 * (a * a + a * b + b * b) / 3.0
-                                    + c3 * (a + b) * (a * a + b * b) / 4.0))
-    return math.fsum(terms)
+def _cubic_rule(piece: _Piece, a: float, b: float) -> float:
+    """Exact integral of the piece's cubic over [a, b], by its antiderivative."""
+    x0, _, y0, d0, c2, c3 = piece
+    # the integral of s**k over [a, b] is (b - a) * sum(a**i * b**(k-i)) / (k+1)
+    a, b = a - x0, b - x0
+    return (b - a) * (y0 + d0 * (a + b) / 2.0 + c2 * (a * a + a * b + b * b) / 3.0
+                      + c3 * (a + b) * (a * a + b * b) / 4.0)
 
 
-def _gauss_integral(pieces: list[_Piece], span: CommonRange, over_log_rate: bool) -> float:
-    """Integral over the span of 10**piece, or with ``over_log_rate`` of the piece
-    over log10 of its rate axis, by the Gauss-Legendre rule on each piece.
+def _gauss_rule(piece: _Piece, a: float, b: float, over_log_rate: bool = False) -> float:
+    """Integral over [a, b] of 10**piece, or with ``over_log_rate`` of the piece
+    over log10 of its rate axis, by the Gauss-Legendre rule.
 
-    A piece is cut into even parts, one per _MAX_PIECE_DECADES of the rate it
+    The piece is cut into even parts, one per _MAX_PIECE_DECADES of the rate it
     spans: the rise of its log10(rate) values, or the log10 of its knots' ratio.
     """
+    x0, x1, y0, d0, c2, c3 = piece
+    if over_log_rate:
+        a, b, decades = math.log10(a), math.log10(b), math.log10(x1 / x0)
+    else:
+        h = x1 - x0
+        decades = h * (d0 + h * (c2 + h * c3))
+    parts = max(1, math.ceil(decades / _MAX_PIECE_DECADES))
+    half = (b - a) / (2 * parts)
     terms = []
-    for x0, x1, y0, d0, c2, c3 in pieces:
-        a, b = max(x0, span.lo), min(x1, span.hi)
-        if a >= b:
-            continue
-        if over_log_rate:
-            a, b, decades = math.log10(a), math.log10(b), math.log10(x1 / x0)
-        else:
-            h = x1 - x0
-            decades = h * (d0 + h * (c2 + h * c3))
-        parts = max(1, math.ceil(decades / _MAX_PIECE_DECADES))
-        half = (b - a) / (2 * parts)
-        for j in range(parts):
-            mid = a + half * (2 * j + 1)
-            for t, w in zip(_GL_NODES, _GL_WEIGHTS):
-                u = mid + half * t
-                s = (10.0 ** u if over_log_rate else u) - x0
-                y = y0 + s * (d0 + s * (c2 + s * c3))
-                terms.append(w * half * (y if over_log_rate else 10.0 ** y))
+    for j in range(parts):
+        mid = a + half * (2 * j + 1)
+        for t, w in zip(_GL_NODES, _GL_WEIGHTS):
+            u = mid + half * t
+            s = (10.0 ** u if over_log_rate else u) - x0
+            y = y0 + s * (d0 + s * (c2 + s * c3))
+            terms.append(w * half * (y if over_log_rate else 10.0 ** y))
     return math.fsum(terms)
+
+
+_log_rate_gauss_rule = partial(_gauss_rule, over_log_rate=True)
+
+
+class _Integrand:
+    """One pruned curve's pieces on one axis, integrated by one per-piece rule.
+
+    Each whole piece's integral is computed at most once, so integrating
+    over many spans costs the rule only on the pieces that a span cuts.
+    """
+
+    def __init__(self, curve: RateQualityCurve, axis: str, rule):
+        if axis == "quality":
+            self.pieces = _log_rate_pieces(curve)
+        else:
+            self.pieces = _pieces(curve.rates, curve.qualities)
+        self.rule = rule
+        self.starts = [piece[0] for piece in self.pieces]
+        self.ends = [piece[1] for piece in self.pieces]
+        self.whole: list[float | None] = [None] * len(self.pieces)
+
+    def over(self, span: CommonRange) -> float:
+        """The integral over a span inside the curve's range."""
+        lo, hi = span.lo, span.hi
+        first, stop = bisect_right(self.ends, lo), bisect_left(self.starts, hi)
+        return math.fsum(self._part(k, lo, hi) for k in range(first, stop))
+
+    def _part(self, k: int, lo: float, hi: float) -> float:
+        x0, x1 = self.starts[k], self.ends[k]
+        if x0 < lo or hi < x1:  # only the first and the last piece can be cut
+            return self.rule(self.pieces[k], max(x0, lo), min(x1, hi))
+        if self.whole[k] is None:
+            self.whole[k] = self.rule(self.pieces[k], x0, x1)
+        return self.whole[k]
+
+
+class PreparedCurve:
+    """A curve for many BD calls, pruned and interpolated once.
+
+    ``bd_rate`` and ``bd_quality`` accept it wherever they accept a curve,
+    with the same values to the bit. Pruning (and its PruningWarning) and
+    each integrand are done in the first call that needs them and live as
+    long as this object; a matrix keeps one per anchor curve for one row.
+    """
+
+    def __init__(self, curve: RateQualityCurve):
+        self.curve = curve
+        self.label = curve.label
+        self._pruned: RateQualityCurve | None = None
+        self._integrands: dict[tuple, _Integrand] = {}
+
+    @property
+    def pruned(self) -> RateQualityCurve:
+        if self._pruned is None:
+            self._pruned = prune_monotone(self.curve)
+        return self._pruned
+
+    def integral(self, axis: str, rule, span: CommonRange) -> float:
+        integrand = self._integrands.get((axis, rule))
+        if integrand is None:
+            integrand = self._integrands[(axis, rule)] = _Integrand(self.pruned, axis, rule)
+        return integrand.over(span)
+
+
+def _prepared(curve: RateQualityCurve | PreparedCurve) -> PreparedCurve:
+    return curve if isinstance(curve, PreparedCurve) else PreparedCurve(curve)
 
 
 def bd_rate(
-    test: RateQualityCurve,
-    ref: RateQualityCurve,
+    test: RateQualityCurve | PreparedCurve,
+    ref: RateQualityCurve | PreparedCurve,
     method: str = "paper_area",
 ) -> BdResult:
     """Average bitrate delta (%) at equal quality; negative = test is cheaper.
@@ -250,46 +316,48 @@ def bd_rate(
     -27.68. ``log_domain`` averages log10(rate_test) - log10(rate_ref) and
     converts the mean back to a percentage. Each curve's log10(rate) is
     integrated alone over its own pieces: exactly for ``log_domain``, by
-    the Gauss-Legendre rule on 10**piece for ``paper_area``.
+    the Gauss-Legendre rule on 10**piece for ``paper_area``. Either curve
+    may be a PreparedCurve, whose whole-piece integrals carry over from
+    earlier calls.
     """
-    test_p = prune_monotone(test)
-    ref_p = prune_monotone(ref)
-    span = common_range(test_p, ref_p, "quality")
-    pieces = (_log_rate_pieces(test_p), _log_rate_pieces(ref_p))
+    test, ref = _prepared(test), _prepared(ref)
+    span = common_range(test.pruned, ref.pruned, "quality")
 
     if method == "paper_area":
-        area_test, area_ref = (_gauss_integral(p, span, over_log_rate=False) for p in pieces)
+        area_test, area_ref = (c.integral("quality", _gauss_rule, span) for c in (test, ref))
         value = 100.0 * (area_test - area_ref) / area_ref
     elif method == "log_domain":
-        log_test, log_ref = (_cubic_integral(p, span) for p in pieces)
+        log_test, log_ref = (c.integral("quality", _cubic_rule, span) for c in (test, ref))
         value = 100.0 * (10.0 ** ((log_test - log_ref) / (span.hi - span.lo)) - 1.0)
     else:
         raise ValueError(f"method must be one of {BD_RATE_METHODS}, got {method!r}")
 
     return BdResult(kind="bd_rate_percent", value=value, common_range=span, method=method,
-                    points_used=(len(test_p.points), len(ref_p.points)))
+                    points_used=(len(test.pruned.points), len(ref.pruned.points)))
 
 
 def bd_quality(
-    test: RateQualityCurve,
-    ref: RateQualityCurve,
+    test: RateQualityCurve | PreparedCurve,
+    ref: RateQualityCurve | PreparedCurve,
     rate_domain: str = "linear",
 ) -> BdResult:
     """Average quality delta (score points) at equal bitrate; positive = test scores higher.
 
     The difference quality_test - quality_ref is averaged over the common
-    bitrate range, on a linear or log10 rate axis per ``rate_domain``.
+    bitrate range, on a linear or log10 rate axis per ``rate_domain``: each
+    curve's quality is integrated alone over its own pieces, exactly for
+    ``linear``, by the Gauss-Legendre rule over log10(rate) for ``log``.
+    Either curve may be a PreparedCurve, as for ``bd_rate``.
     """
-    test_p = prune_monotone(test)
-    ref_p = prune_monotone(ref)
-    span = common_range(test_p, ref_p, "rate")
-    pieces = (_pieces(test_p.rates, test_p.qualities), _pieces(ref_p.rates, ref_p.qualities))
+    test, ref = _prepared(test), _prepared(ref)
+    span = common_range(test.pruned, ref.pruned, "rate")
 
     if rate_domain == "linear":
-        area_test, area_ref = (_cubic_integral(p, span) for p in pieces)
+        area_test, area_ref = (c.integral("rate", _cubic_rule, span) for c in (test, ref))
         width = span.hi - span.lo
     elif rate_domain == "log":
-        area_test, area_ref = (_gauss_integral(p, span, over_log_rate=True) for p in pieces)
+        area_test, area_ref = (c.integral("rate", _log_rate_gauss_rule, span)
+                               for c in (test, ref))
         width = math.log10(span.hi) - math.log10(span.lo)
     else:
         raise ValueError(
@@ -298,4 +366,4 @@ def bd_quality(
     value = (area_test - area_ref) / width
 
     return BdResult(kind="bd_quality_points", value=value, common_range=span, method=rate_domain,
-                    points_used=(len(test_p.points), len(ref_p.points)))
+                    points_used=(len(test.pruned.points), len(ref.pruned.points)))

@@ -75,7 +75,10 @@ def build_matrix(
 
     ``curves`` maps profile name -> sequence short name -> curve. Cells
     where the comparison is impossible (missing curve, no common range,
-    degenerate after pruning) are undefined, never zero.
+    degenerate after pruning) are undefined, never zero. Each sequence's
+    anchor curve is wrapped once in a ``bd.PreparedCurve``, so it is pruned
+    and interpolated once per row; every cell still equals the standalone
+    ``bd_rate``/``bd_quality`` call.
     """
     if anchor not in curves:
         raise ConfigError(f"anchor profile '{anchor}' has no curves")
@@ -88,6 +91,8 @@ def build_matrix(
     cells: dict[tuple[str, str], BdResult | None] = {}
     for seq in sequences:
         anchor_curve = curves[anchor].get(seq.short_name)
+        if anchor_curve is not None:
+            anchor_curve = bd_metrics.PreparedCurve(anchor_curve)
         for competitor in competitors:
             competitor_curve = curves[competitor].get(seq.short_name)
             if anchor_curve is None or competitor_curve is None:

@@ -211,6 +211,7 @@ def test_criterion_04_randomized_property_suite():
                 assert prune_monotone(once) == once
 
 
+@pytest.mark.realtime
 def test_criterion_05_pacer_timing():
     with criterion(5, "pacer timing"):
         # (a) 100 synthetic 2x2 frames at 50 fps into a null sink
@@ -228,6 +229,7 @@ def test_criterion_05_pacer_timing():
         assert report.delivery_fps <= 25 * 1.02
 
 
+@pytest.mark.realtime
 def test_criterion_06_harness_with_shipped_mocks(tmp_path):
     with criterion(6, "harness behavior with shipped mocks"):
         # fast mock, 250 tiny frames at 25 fps

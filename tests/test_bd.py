@@ -295,28 +295,39 @@ class TestCrossCuttingProperties:
             assert bd_quality(test, ref, domain).value == pytest.approx(oracle, abs=1e-6)
 
     @pytest.mark.parametrize(
-        "test_points",
+        "test_points,ends",
         [
             # inside the reference on both axes: the reference is cut at both ends
-            [(1500, 35), (2600, 45), (2700, 44), (4500, 52), (7000, 56)],
+            ([(1500, 35), (2600, 45), (2700, 44), (4500, 52), (7000, 56)], "inside"),
             # staggered: the range starts inside a reference piece, ends inside a test piece
-            [(1500, 35), (2600, 45), (2700, 44), (5000, 55), (11000, 66)],
+            ([(1500, 35), (2600, 45), (2700, 44), (5000, 55), (11000, 66)], "inside"),
+            # the whole common range lies inside one piece of the reference
+            ([(2200, 42), (2600, 45), (2700, 44), (3800, 48.5)], "one-piece"),
+            # the common range starts and ends on interior knots of the reference
+            ([(2000, 40), (2600, 45), (2700, 44), (4000, 50)], "knots"),
         ],
-        ids=["nested", "staggered"],
+        ids=["nested", "staggered", "one-piece", "on-knots"],
     )
-    def test_common_range_ends_inside_pieces(self, test_points):
-        # Each end of both common ranges falls strictly inside a piece of a
-        # curve, so the integrals start and end on partial pieces; the test
-        # curve loses (2700, 44) to pruning.
+    def test_common_range_ends_inside_pieces(self, test_points, ends):
+        # Where the common range cuts a curve's pieces decides which pieces
+        # are integrated clipped and which whole; the test curve loses
+        # (2700, 44) to pruning.
         ref = make_curve([1000, 2000, 4000, 8000], [30, 40, 50, 60], "ref")
         test = make_curve(*zip(*test_points), "test")
         with pytest.warns(PruningWarning):
             pruned = prune_monotone(test)
         for axis, column in (("quality", 1), ("rate", 0)):
             span = common_range(pruned, ref, axis)
-            for end in (span.lo, span.hi):
-                assert any(a[column] < end < b[column]
-                           for c in (pruned, ref) for a, b in zip(c.points, c.points[1:]))
+            ref_knots = [p[column] for p in ref.points]
+            ref_pieces = list(zip(ref_knots, ref_knots[1:]))
+            if ends == "inside":
+                for end in (span.lo, span.hi):
+                    assert any(a[column] < end < b[column]
+                               for c in (pruned, ref) for a, b in zip(c.points, c.points[1:]))
+            elif ends == "one-piece":
+                assert any(a < span.lo and span.hi < b for a, b in ref_pieces)
+            else:
+                assert span.lo in ref_knots[1:-1] and span.hi in ref_knots[1:-1]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PruningWarning)
             for method in ("paper_area", "log_domain"):

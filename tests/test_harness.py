@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -139,6 +141,20 @@ class TestStats:
     def test_constant(self):
         assert mean_sample_std([25.0, 25.0, 25.0]) == (25.0, 0.0)
 
+    def test_matches_statistics_on_random_groups(self):
+        rng = random.Random(7)
+        for _ in range(500):
+            base = rng.uniform(1.0, 500.0)
+            spread = base * 10 ** rng.uniform(-4, 0)
+            values = [base + rng.uniform(-spread, spread) for _ in range(rng.randint(2, 40))]
+            mean, std = mean_sample_std(values)
+            assert mean == statistics.fmean(values)
+            assert std == pytest.approx(statistics.stdev(values), rel=1e-12, abs=0)
+
+    def test_constant_group_keeps_its_value(self):
+        # fmean of three 0.1s is not 0.1; a constant group gives its value back
+        assert mean_sample_std([0.1, 0.1, 0.1]) == (0.1, 0.0)
+
     def test_empty(self):
         with pytest.raises(EmptyGroupError):
             mean_sample_std([])
@@ -164,6 +180,7 @@ def source_seq(tmp_path):
 
 
 class TestRunUnpaced:
+    @pytest.mark.realtime
     def test_fast_mock_is_not_rate_capped(self, tmp_path):
         seq = make_sequence(frame_count=500, path=tmp_path / "src.yuv")
         write_raw_source(seq.path, seq)
@@ -236,6 +253,7 @@ class TestRunUnpaced:
 
 
 class TestRunPaced:
+    @pytest.mark.realtime
     def test_fast_mock_tracks_capture_rate(self, tmp_path):
         # 75 frames: 75/74 < 1.02, so the rate cap holds even with instant exit
         seq = make_sequence(frame_count=75, path=tmp_path / "src.yuv")

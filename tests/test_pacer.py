@@ -72,11 +72,13 @@ class TestRunPaced:
         with pytest.raises(InvalidInputError):
             run_paced([], null_sink, 25, 1)
 
+    @pytest.mark.realtime
     def test_single_frame_sends_immediately(self, null_sink):
         report = run_paced([b"x" * 6], null_sink, 25, 1)
         assert report.frames_sent == 1
         assert report.total_duration_s < 0.05
 
+    @pytest.mark.realtime
     def test_hundred_frames_at_fifty_fps(self, null_sink):
         frames = [b"\0" * 6] * 100
         report = run_paced(frames, null_sink, 50, 1)
@@ -90,6 +92,7 @@ class TestRunPaced:
         assert np.percentile(lateness, 99) < 0.005
         assert (lateness >= 0).all()
 
+    @pytest.mark.realtime
     def test_slow_consumer_backpressure(self):
         # 20 fps pacing against a consumer draining at ~5 fps through a pipe
         # whose capacity is a few frames: writes block, lateness grows.
@@ -149,6 +152,7 @@ class TestRunPaced:
         clone = PacingReport.from_dict(report.to_dict())
         assert clone == report
 
+    @pytest.mark.realtime
     def test_no_write_starts_before_its_deadline(self):
         sink = RecordingSink(time.monotonic)
         report = run_paced([b"x" * 6] * 50, sink, 100, 1)

@@ -1,14 +1,17 @@
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
 
+from pacebench import bd
 from pacebench.bd import BdResult, CommonRange
 from pacebench.curves import RateQualityCurve
 from pacebench.errors import (
     ConfigError,
     EmptyGroupError,
+    PruningWarning,
     RankingUnavailableError,
     RankTieWarning,
 )
@@ -61,6 +64,27 @@ def _sequences_25_50():
     ]
 
 
+VARIANTS = [("rate", {"method": "paper_area"}), ("rate", {"method": "log_domain"}),
+            ("quality", {"rate_domain": "linear"}), ("quality", {"rate_domain": "log"})]
+VARIANT_IDS = ["paper_area", "log_domain", "linear", "log"]
+
+
+def _prepared_anchor_family():
+    """Three sequences: the anchor loses a dominated point on AA25 and has
+    no curve on CC50; "near" and "wide" overlap it, "far" never does."""
+    sequences = _sequences_25_50()
+    anchor = {"AA25": RateQualityCurve(((800, 30), (1000, 36), (1100, 35), (1500, 44),
+                                        (2400, 52), (3900, 58)), label="anchor/AA25"),
+              "BB25": _ladder_curve("anchor/BB25")}
+    near = {s.short_name: _ladder_curve(f"near/{s.short_name}", scale=1.1, offset=1.0)
+            for s in sequences}
+    wide = {s.short_name: _ladder_curve(f"wide/{s.short_name}", scale=0.6, offset=-4.0)
+            for s in sequences}
+    far = {s.short_name: _ladder_curve(f"far/{s.short_name}", scale=100.0, offset=1000.0)
+           for s in sequences}
+    return sequences, {"anchor": anchor, "near": near, "wide": wide, "far": far}
+
+
 class TestBuildMatrix:
     def test_identical_curves_give_zero_cells(self):
         sequences = _sequences_25_50()
@@ -108,6 +132,49 @@ class TestBuildMatrix:
     def test_anchor_missing(self):
         with pytest.raises(ConfigError, match="anchor"):
             build_matrix({"only": {}}, [], "ghost", "rate")
+
+    @pytest.mark.parametrize("kind,options", VARIANTS, ids=VARIANT_IDS)
+    def test_cells_equal_standalone_calls(self, kind, options):
+        # The prepared anchor is integrated over a different common range
+        # for each competitor, and each cell must still be the standalone
+        # call's value to the bit.
+        sequences, curves = _prepared_anchor_family()
+        standalone = bd.bd_rate if kind == "rate" else bd.bd_quality
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PruningWarning)
+            matrix = build_matrix(curves, sequences, "anchor", kind, **options)
+            for (name, competitor), cell in matrix.cells.items():
+                if name == "CC50" or competitor == "far":
+                    assert cell is None, (name, competitor)
+                    continue
+                alone = standalone(curves["anchor"][name], curves[competitor][name],
+                                   *options.values())
+                assert cell == alone, (name, competitor)
+
+    @pytest.mark.parametrize("kind,options", VARIANTS, ids=VARIANT_IDS)
+    def test_each_anchor_is_prepared_once_per_matrix(self, monkeypatch, kind, options):
+        # Pieces: one per anchor per sequence (AA25, BB25; CC50 has none) and
+        # one per defined competitor cell ("near" and "wide" on AA25 and BB25;
+        # "far" fails before any is built). Building the matrix again costs
+        # the same, so nothing outlives it. The anchor prunes, and warns, once.
+        sequences, curves = _prepared_anchor_family()
+        built = []
+        original = bd._pieces
+
+        def counting_pieces(x, y):
+            built.append(len(x))
+            return original(x, y)
+
+        monkeypatch.setattr(bd, "_pieces", counting_pieces)
+        for _ in range(2):
+            built.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                build_matrix(curves, sequences, "anchor", kind, **options)
+            assert len(built) == 2 + 4
+            pruned = [w for w in caught if issubclass(w.category, PruningWarning)]
+            assert len(pruned) == 1
+            assert "'anchor/AA25'" in str(pruned[0].message)
 
     def test_table_layout_with_injected_values(self, monkeypatch):
         # 12 sequences in two fps groups, cells injected per (seq, competitor):
