@@ -276,13 +276,14 @@ def _select_runs(
     mode: RunMode | None,
 ) -> list[tuple[Path, RunRecord]]:
     """One record per (profile, seq, target bitrate): requested mode, else
-    unpaced before paced, first repetition first."""
+    unpaced before paced, first repetition first. *records* come sorted by
+    file name."""
     chosen: dict[tuple[str, str, float], tuple[Path, RunRecord]] = {}
 
     def priority(record: RunRecord) -> int:
         return 0 if record.mode is RunMode.UNPACED else 1
 
-    for path, record in sorted(records, key=lambda item: item[0].name):
+    for path, record in records:
         if mode is not None and record.mode is not mode:
             continue
         key = (record.profile_name, record.sequence_short_name, record.target_bitrate_kbps)
@@ -301,7 +302,7 @@ def cmd_report(args, opts: GlobalOptions) -> int:
             quality_names.add(p.name)
         else:
             record_paths.append(p)
-    record_paths.sort()
+    record_paths.sort(key=lambda p: p.name)
     if not record_paths:
         raise ConfigError(f"no run records found under {runs_dir}")
     all_records = [(p, harness.load_run_record(p)) for p in record_paths]
@@ -309,14 +310,20 @@ def cmd_report(args, opts: GlobalOptions) -> int:
     mode = RunMode(args.mode) if args.mode else None
     selected = _select_runs(all_records, mode)
 
-    curves: dict[str, dict[str, object]] = {}
-    pairs_by_profile_seq: dict[tuple[str, str], list] = {}
+    scored: list[tuple[RunRecord, str]] = []
     for path, record in selected:
         quality_name = path.name[: -len(RECORD_SUFFIX)] + QUALITY_SUFFIX
         if quality_name not in quality_names:
             log.warning("no quality report for %s; skipping", path.name)
             continue
-        report = quality.parse_metric_report(runs_dir / quality_name)
+        scored.append((record, quality_name))
+    reports, parsed, save_scores = quality.pooled_scores(
+        runs_dir, [name for _, name in scored], quality_names
+    )
+
+    curves: dict[str, dict[str, object]] = {}
+    pairs_by_profile_seq: dict[tuple[str, str], list] = {}
+    for (record, _), report in zip(scored, reports):
         key = (record.profile_name, record.sequence_short_name)
         pairs_by_profile_seq.setdefault(key, []).append((record, report))
 
@@ -341,10 +348,12 @@ def cmd_report(args, opts: GlobalOptions) -> int:
         [record for _, record in all_records], row_sequences
     )
     atomic_write_text(runs_dir / "throughput.csv", throughput_csv)
+    save_scores()
 
     print(f"wrote {args.out}")
     print(f"wrote {runs_dir / 'throughput.csv'} and {len(curves)} profile curve set(s) "
-          f"under {curves_dir}")
+          f"under {curves_dir}; {parsed} quality log(s) parsed, "
+          f"{len(reports) - parsed} reused from {quality.SCORE_CACHE_NAME}")
     return EXIT_OK
 
 

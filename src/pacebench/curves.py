@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DuplicatePointError, InsufficientDataError, InvalidInputError
@@ -25,6 +25,9 @@ class RateQualityCurve:
 
     points: tuple[tuple[float, float], ...]
     label: str = ""
+    # computed once in __post_init__: bd reads them for every matrix cell
+    rates: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    qualities: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pts = tuple((float(r), float(q)) for r, q in self.points)
@@ -47,18 +50,13 @@ class RateQualityCurve:
                 raise InvalidInputError(
                     f"curve '{self.label}': rates must be strictly increasing"
                 )
+        rates, qualities = zip(*pts)
+        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "qualities", qualities)
 
     @classmethod
     def from_points(cls, points, label: str = "") -> "RateQualityCurve":
         return cls(tuple(sorted((float(r), float(q)) for r, q in points)), label=label)
-
-    @property
-    def rates(self) -> tuple[float, ...]:
-        return tuple(r for r, _ in self.points)
-
-    @property
-    def qualities(self) -> tuple[float, ...]:
-        return tuple(q for _, q in self.points)
 
     @property
     def rate_range(self) -> tuple[float, float]:
@@ -66,8 +64,7 @@ class RateQualityCurve:
 
     @property
     def quality_range(self) -> tuple[float, float]:
-        qs = self.qualities
-        return min(qs), max(qs)
+        return min(self.qualities), max(self.qualities)
 
 
 def curve_to_csv(curve: RateQualityCurve) -> str:

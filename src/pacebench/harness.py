@@ -609,8 +609,20 @@ def save_run_record(record: RunRecord, path: str | Path) -> None:
 
 
 def load_run_record(path: str | Path) -> RunRecord:
+    """Read a saved run record; a file that is not one raises InvalidInputError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return RunRecord.from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise InvalidInputError(f"{path}: not a JSON run record: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"{path}: a run record must be a JSON object")
+    try:
+        return RunRecord.from_dict(data)
+    except KeyError as exc:
+        raise InvalidInputError(f"{path}: run record lacks the field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{path}: malformed run record: {exc}") from exc
 
 
 def runs_csv_text(records: Sequence[RunRecord]) -> str:

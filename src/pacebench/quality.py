@@ -5,6 +5,11 @@ written by an external tool, either in the native schema
 ``{"metric": str, "pooled": number?, "frames": [number]?}`` or in the
 common external log layout (``pooled_metrics`` / per-frame ``metrics``
 objects), which an adapter normalizes.
+
+``pooled_scores`` is how ``pacebench report`` reads a campaign's logs. It
+keeps each validated pooled score in ``<runs>/quality-scores.cache``, keyed
+by the BLAKE2b digest of the log's bytes, and parses a log again only when
+its bytes differ from the ones it validated. Deleting the file resets it.
 """
 
 from __future__ import annotations
@@ -15,21 +20,28 @@ import statistics
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .curves import RateQualityCurve
 from .errors import (
+    ComputationError,
     DuplicatePointError,
     InsufficientDataError,
     MetricSchemaError,
     ScoreRangeError,
 )
 from .harness import RunRecord
+from .ioutil import atomic_write_text
 
 SCORE_MIN = 0.0
 SCORE_MAX = 100.0
 _POOLED_MEAN_TOLERANCE = 1e-6
 DUPLICATE_RATE_KBPS = 0.5
+
+SCORE_CACHE_NAME = "quality-scores.cache"
+# Bump whenever what parse_metric_report accepts or returns changes: a score
+# it validated under the old rules must not be reused under the new ones.
+_SCORE_CACHE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -97,12 +109,19 @@ def _normalize_external(data: dict) -> dict:
     return native
 
 
-def parse_metric_report(path: str | Path) -> QualityReport:
-    """Read a metric report; pooled score is derived from frames when absent."""
+def parse_metric_report(path: str | Path, data: bytes | None = None) -> QualityReport:
+    """Read a metric report; pooled score is derived from frames when absent.
+
+    *data*, when given, is the report's content already read from *path*,
+    which then only names the report in errors.
+    """
     path = Path(path)
+    if data is None:
+        data = path.read_bytes()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise MetricSchemaError(f"{path}: not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MetricSchemaError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -131,6 +150,72 @@ def parse_metric_report(path: str | Path) -> QualityReport:
         pooled_score=pooled,
         per_frame_scores=tuple(frames) if frames is not None else None,
     )
+
+
+def pooled_scores(
+    runs_dir: Path, names: Sequence[str], listed: Collection[str]
+) -> tuple[list[QualityReport], int, Callable[[], None]]:
+    """Pooled score of each quality log in *names*, in order, how many of
+    them were parsed, and a function that saves the cache.
+
+    A log whose bytes have the digest recorded in ``<runs_dir>/quality-scores.cache``
+    reuses the score stored with it; every other log goes through
+    parse_metric_report and all its checks, so the first bad log raises as
+    it would without the cache, and is never cached. A missing, unreadable
+    or outdated file counts as empty. Entries of logs that are not in
+    *listed* (the directory's quality logs) are dropped. The caller saves
+    once its report has succeeded; the file is rewritten only when an entry
+    was added, changed or dropped.
+    """
+    # imported here: at module level, loading OpenSSL would add about 3 ms
+    # and 3.5 MB to every `import pacebench.cli`
+    import hashlib
+
+    cache_path = runs_dir / SCORE_CACHE_NAME
+    cached = _read_score_cache(cache_path)
+    entries = {name: entry for name, entry in cached.items() if name in listed}
+    reports, parsed = [], 0
+    for name in names:
+        path = runs_dir / name
+        data = path.read_bytes()
+        digest = hashlib.blake2b(data, digest_size=16).hexdigest()
+        report = _cached_report(entries.get(name), digest)
+        if report is None:
+            full = parse_metric_report(path, data=data)
+            report = QualityReport(full.metric_name, full.pooled_score)
+            entries[name] = [digest, report.metric_name, report.pooled_score]
+            parsed += 1
+        reports.append(report)
+
+    def save() -> None:
+        if entries != cached:
+            cache = {"version": _SCORE_CACHE_VERSION, "scores": entries}
+            atomic_write_text(cache_path, json.dumps(cache, sort_keys=True) + "\n")
+
+    return reports, parsed, save
+
+
+def _read_score_cache(path: Path) -> dict:
+    try:
+        cache = json.loads(path.read_bytes())
+    except (OSError, ValueError, RecursionError):
+        return {}
+    if (not isinstance(cache, dict) or cache.get("version") != _SCORE_CACHE_VERSION
+            or not isinstance(cache.get("scores"), dict)):
+        return {}
+    return cache["scores"]
+
+
+def _cached_report(entry, digest: str) -> QualityReport | None:
+    """The entry's score if it was stored for these bytes and still passes
+    QualityReport's checks, else None."""
+    if not (isinstance(entry, list) and len(entry) == 3 and entry[0] == digest
+            and isinstance(entry[1], str)):
+        return None
+    try:
+        return QualityReport(entry[1], entry[2])
+    except ComputationError:
+        return None
 
 
 class MosLabel(str, Enum):

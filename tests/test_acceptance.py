@@ -317,13 +317,22 @@ def test_criterion_09_end_to_end(tmp_path, capsys):
                 {"metric": "vmaf", "pooled": scores[record.target_bitrate_kbps]}
             ))
 
-        out_md = tmp_path / "matrix.md"
-        assert dispatch([
-            "--manifest", str(manifest), "report", "--runs", str(runs_dir),
-            "--anchor", "mock-a", "--kind", "rate", "--format", "md",
-            "--out", str(out_md),
-        ]) == 0
-        capsys.readouterr()
+        # the second report reuses the first one's validated scores and
+        # must write the same bytes
+        documents = []
+        for attempt in range(2):
+            out_md = tmp_path / f"matrix-{attempt}.md"
+            assert dispatch([
+                "--manifest", str(manifest), "report", "--runs", str(runs_dir),
+                "--anchor", "mock-a", "--kind", "rate", "--format", "md",
+                "--out", str(out_md),
+            ]) == 0
+            parsed = 6 if attempt == 0 else 0
+            assert f"{parsed} quality log(s) parsed, {6 - parsed} reused" in (
+                capsys.readouterr().out)
+            documents.append((out_md.read_bytes(),
+                              (runs_dir / "throughput.csv").read_bytes()))
+        assert documents[0] == documents[1]
 
         markdown = out_md.read_text()
         data_cells = [

@@ -46,6 +46,16 @@ def test_curve_rejects_non_finite_point(point):
         RateQualityCurve.from_points([(1000.0, 50.0), point, (3000.0, 60.0)])
 
 
+def test_curve_derived_axes_leave_equality_hash_and_repr_alone():
+    a = RateQualityCurve(((1000, 30), (2000, 40.5)), label="x")
+    b = RateQualityCurve(((1000.0, 30.0), (2000.0, 40.5)), label="x")
+    assert a.rates == (1000.0, 2000.0) and a.qualities == (30.0, 40.5)
+    assert a.rates is a.rates  # computed once, not per read
+    assert a == b and hash(a) == hash(b) == hash((a.points, "x"))
+    assert a != RateQualityCurve(a.points, label="y")
+    assert repr(a) == "RateQualityCurve(points=((1000.0, 30.0), (2000.0, 40.5)), label='x')"
+
+
 def test_gauss_legendre_constants_match_numpy():
     nodes, weights = np.polynomial.legendre.leggauss(8)
     np.testing.assert_allclose(_GL_NODES, nodes, rtol=0, atol=1e-15)

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import pacebench
+from pacebench import quality
 from pacebench.cli import _percentile, dispatch
 from pacebench.curves import RateQualityCurve, save_curve_csv
-from pacebench.harness import load_run_record
+from pacebench.harness import RunMode, RunRecord, load_run_record, save_run_record
 from pacebench.ioutil import atomic_write_text
 
 from synthetic import make_sequence, mock_profile, write_raw_source
@@ -285,6 +286,233 @@ class TestBenchCommand:
         }))
         code = dispatch(["bench", "--config", str(config), "--only", "profile=ghost"])
         assert code == 2
+
+
+def _write_report_campaign(tmp_path):
+    """Two profiles x one sequence x three rungs, unpaced and paced, with
+    per-frame logs in the external VMAF layout; "b" needs 0.8x the rate."""
+    seq = make_sequence(frame_count=4, path=tmp_path / "src.yuv")
+    write_raw_source(seq.path, seq)
+    manifest = _write_manifest(tmp_path, [seq])
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    for profile, scale in (("a", 1.0), ("b", 0.8)):
+        for rung, (kbps, vmaf) in enumerate(((800, 40.0), (1600, 60.0), (3200, 80.0))):
+            for mode in RunMode:
+                base = f"{profile}__SY25__{kbps}__{mode.value}__rep0"
+                fps = 100.0 + rung + (mode is RunMode.PACED)
+                save_run_record(RunRecord(profile, "SY25", float(kbps), mode, 1.0, 4, fps,
+                                          0, scale * kbps * 1.01, 0), runs / f"{base}.json")
+                frames = [{"metrics": {"vmaf": vmaf + d}} for d in (-1.5, 0.5, 1.0)]
+                _write_log(runs / f"{base}.quality.json",
+                           {"pooled_metrics": {"vmaf": {"mean": vmaf}}, "frames": frames})
+    return manifest, runs
+
+
+def _write_log(path, payload):
+    path.write_text(json.dumps(payload))
+
+
+def _report(manifest, runs, out, kind="rate", fmt="md"):
+    return dispatch(["--manifest", str(manifest), "report", "--runs", str(runs),
+                     "--anchor", "a", "--kind", kind, "--format", fmt, "--out", str(out)])
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """Names of the quality logs parse_metric_report was called on."""
+    calls = []
+    original = quality.parse_metric_report
+
+    def counting(path, *args, **kwargs):
+        calls.append(Path(path).name)
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(quality, "parse_metric_report", counting)
+    return calls
+
+
+def _stat(path):
+    st = path.stat()
+    return st.st_ino, st.st_mtime_ns
+
+
+class TestReportScoreCache:
+    LOGS = 6  # one log per (profile, rung): unpaced runs are selected
+
+    def test_second_report_parses_no_log(self, tmp_path, capsys, parse_calls):
+        manifest, runs = _write_report_campaign(tmp_path)
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        assert len(parse_calls) == self.LOGS
+        assert "6 quality log(s) parsed, 0 reused" in capsys.readouterr().out
+        parse_calls.clear()
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        assert parse_calls == []
+        assert "0 quality log(s) parsed, 6 reused" in capsys.readouterr().out
+
+    def test_rewritten_log_alone_is_parsed_again(self, tmp_path, parse_calls):
+        manifest, runs = _write_report_campaign(tmp_path)
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        name = "b__SY25__1600__unpaced__rep0.quality.json"
+        _write_log(runs / name, {"metric": "vmaf", "pooled": 61.0})
+        parse_calls.clear()
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        assert parse_calls == [name]
+
+    def test_deleting_the_cache_parses_every_log_again(self, tmp_path, parse_calls):
+        manifest, runs = _write_report_campaign(tmp_path)
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        (runs / quality.SCORE_CACHE_NAME).unlink()
+        parse_calls.clear()
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        assert len(parse_calls) == self.LOGS
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda cache: b"\xff{not json",
+        lambda cache: b"[1, 2]",
+        lambda cache: json.dumps({**cache, "version": cache["version"] + 1}).encode(),
+        lambda cache: json.dumps({**cache, "scores": []}).encode(),
+    ], ids=["garbage", "not-an-object", "other-version", "scores-not-an-object"])
+    def test_bad_cache_is_ignored_and_rewritten(self, tmp_path, parse_calls, corrupt):
+        manifest, runs = _write_report_campaign(tmp_path)
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        cache = runs / quality.SCORE_CACHE_NAME
+        cache.write_bytes(corrupt(json.loads(cache.read_text())))
+        parse_calls.clear()
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        assert len(parse_calls) == self.LOGS
+        parse_calls.clear()
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        assert parse_calls == []
+
+    @pytest.mark.parametrize("entry", [
+        ["0" * 32, "vmaf", 50.0], ["DIGEST", "vmaf", 150.0], ["DIGEST", "vmaf", None],
+        ["DIGEST", 7, 50.0], ["DIGEST", "vmaf"], "DIGEST",
+    ])
+    def test_entry_failing_its_checks_is_parsed_again(self, tmp_path, parse_calls, entry):
+        manifest, runs = _write_report_campaign(tmp_path)
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        cache_path = runs / quality.SCORE_CACHE_NAME
+        cache = json.loads(cache_path.read_text())
+        name = "a__SY25__800__unpaced__rep0.quality.json"
+        digest = cache["scores"][name][0]
+        cache["scores"][name] = (entry.replace("DIGEST", digest) if isinstance(entry, str)
+                                 else [digest if e == "DIGEST" else e for e in entry])
+        cache_path.write_text(json.dumps(cache))
+        parse_calls.clear()
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        assert parse_calls == [name]
+        assert json.loads(cache_path.read_text())["scores"][name] == [digest, "vmaf", 40.0]
+
+    def test_entry_of_a_deleted_log_is_pruned(self, tmp_path, parse_calls):
+        manifest, runs = _write_report_campaign(tmp_path)
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        cache = runs / quality.SCORE_CACHE_NAME
+        gone = "b__SY25__3200__unpaced__rep0.quality.json"
+        assert gone in json.loads(cache.read_text())["scores"]
+        (runs / gone).unlink()
+        parse_calls.clear()
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        assert parse_calls == []
+        scores = json.loads(cache.read_text())["scores"]
+        assert gone not in scores and len(scores) == self.LOGS - 1
+
+    def test_logs_of_unselected_runs_stay_cached(self, tmp_path, parse_calls):
+        manifest, runs = _write_report_campaign(tmp_path)
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        argv = ["--manifest", str(manifest), "report", "--runs", str(runs), "--anchor", "a",
+                "--kind", "rate", "--format", "md", "--out", str(tmp_path / "p.md")]
+        assert dispatch(argv + ["--mode", "paced"]) == 0
+        parse_calls.clear()
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        assert dispatch(argv + ["--mode", "paced"]) == 0
+        assert parse_calls == []
+
+    def test_invalid_log_is_not_cached_and_fails_again(self, tmp_path, capsys, parse_calls):
+        manifest, runs = _write_report_campaign(tmp_path)
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        cache = runs / quality.SCORE_CACHE_NAME
+        before = cache.read_bytes(), _stat(cache)
+        bad = "a__SY25__1600__unpaced__rep0.quality.json"
+        _write_log(runs / bad, {"pooled_metrics": {"vmaf": {"mean": 70.0}},
+                                "frames": [{"metrics": {"vmaf": 60.0}}]})
+        capsys.readouterr()
+        for _ in range(2):
+            parse_calls.clear()
+            assert _report(manifest, runs, tmp_path / "m.md") == 1
+            assert capsys.readouterr().err.startswith("error: metric-schema: ")
+            assert parse_calls == [bad]
+            assert (cache.read_bytes(), _stat(cache)) == before
+
+    def test_cold_report_failing_writes_no_cache(self, tmp_path, capsys):
+        manifest, runs = _write_report_campaign(tmp_path)
+        (runs / "b__SY25__800__unpaced__rep0.quality.json").write_bytes(b"\xff")
+        assert _report(manifest, runs, tmp_path / "m.md") == 1
+        assert not (runs / quality.SCORE_CACHE_NAME).exists()
+
+    def test_report_failing_after_scoring_writes_no_cache(self, tmp_path, capsys):
+        manifest, runs = _write_report_campaign(tmp_path)
+        code = dispatch(["--manifest", str(manifest), "report", "--runs", str(runs),
+                         "--anchor", "ghost", "--kind", "rate", "--format", "md",
+                         "--out", str(tmp_path / "m.md")])
+        assert code != 0
+        assert not (runs / quality.SCORE_CACHE_NAME).exists()
+
+    def test_warm_report_does_not_rewrite_the_cache(self, tmp_path):
+        manifest, runs = _write_report_campaign(tmp_path)
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        cache = runs / quality.SCORE_CACHE_NAME
+        before = _stat(cache)
+        for kind, fmt in (("rate", "md"), ("quality", "csv")):
+            assert _report(manifest, runs, tmp_path / f"m.{fmt}", kind, fmt) == 0
+        assert _stat(cache) == before
+
+    @pytest.mark.parametrize("kind", ["rate", "quality"])
+    @pytest.mark.parametrize("fmt", ["md", "csv"])
+    def test_documents_identical_cold_warm_and_uncached(self, tmp_path, monkeypatch,
+                                                        kind, fmt):
+        manifest, runs = _write_report_campaign(tmp_path)
+        outputs = []
+
+        def documents(name):
+            out = tmp_path / f"{name}.{fmt}"
+            assert _report(manifest, runs, out, kind, fmt) == 0
+            return out.read_bytes(), (runs / "throughput.csv").read_bytes()
+
+        outputs.append(documents("cold"))
+        outputs.append(documents("warm"))
+        # the reading without a cache: every log parsed, as the report did before it had one
+
+        def uncached(runs_dir, names, listed):
+            reports = [quality.parse_metric_report(runs_dir / n) for n in names]
+            return reports, len(names), lambda: None
+
+        monkeypatch.setattr(quality, "pooled_scores", uncached)
+        outputs.append(documents("uncached"))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0][0].strip()
+
+
+class TestMalformedReportInputs:
+    @pytest.mark.parametrize("content", [b"{not json", b"{}", b'{"profile_name": "a"}',
+                                         b"[]", b"\xff", b'{"mode": "x"}'])
+    def test_bad_run_record_exits_one_naming_it(self, tmp_path, capsys, content):
+        manifest, runs = _write_report_campaign(tmp_path)
+        bad = runs / "a__SY25__800__unpaced__rep0.json"
+        if content == b'{"mode": "x"}':
+            content = json.dumps({**json.loads(bad.read_text()), "mode": "x"}).encode()
+        bad.write_bytes(content)
+        assert _report(manifest, runs, tmp_path / "m.md") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-input: ") and str(bad) in err
+
+    def test_quality_log_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        manifest, runs = _write_report_campaign(tmp_path)
+        bad = runs / "a__SY25__800__unpaced__rep0.quality.json"
+        bad.write_bytes(b'{"metric": "vmaf\xff", "pooled": 50}')
+        assert _report(manifest, runs, tmp_path / "m.md") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: metric-schema: ") and str(bad) in err
 
 
 class TestAtomicWrites:

@@ -408,6 +408,19 @@ class TestRecordPersistence:
         save_run_record(record, path)
         assert load_run_record(path) == record
 
+    @pytest.mark.parametrize("content", [
+        b"{not json", b"\xff", b"[]", b"{}", b'{"profile_name": "a"}',
+        {"mode": "sideways"}, {"pacing": 1},
+    ])
+    def test_malformed_record_raises_invalid_input_naming_it(self, tmp_path, content):
+        path = tmp_path / "r.json"
+        if isinstance(content, dict):  # one bad field in an otherwise whole record
+            record = RunRecord("p", "s", 800.0, RunMode.UNPACED, 1.0, 10, 10.0, 1, 800.0, 0)
+            content = json.dumps({**record.to_dict(), **content}).encode()
+        path.write_bytes(content)
+        with pytest.raises(InvalidInputError, match=str(path)):
+            load_run_record(path)
+
     def test_runs_csv_round_trip(self):
         record = RunRecord(
             "p", "s", 812.5, RunMode.UNPACED, 1.2345678901234567, 10,

@@ -81,6 +81,17 @@ class TestParseMetricReport:
         with pytest.raises(MetricSchemaError):
             parse_metric_report(path)
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b'{"metric": "vmaf", "pooled": 50, "x": "\xff"}')
+        with pytest.raises(MetricSchemaError, match="UTF-8"):
+            parse_metric_report(path)
+
+    def test_given_bytes_are_parsed_instead_of_the_file(self, tmp_path):
+        path = _write_report(tmp_path, {"metric": "vmaf", "pooled": 10.0})
+        report = parse_metric_report(path, data=b'{"metric": "psnr", "frames": [20, 30]}')
+        assert (report.metric_name, report.pooled_score) == ("psnr", 25.0)
+
     def test_round_trip_preserves_pooled_to_six_decimals(self, tmp_path):
         original = QualityReport("vmaf", 83.123456789, (83.123456789,))
         path = _write_report(tmp_path, original.to_dict())
