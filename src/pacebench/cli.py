@@ -18,7 +18,6 @@ import logging
 import os
 import statistics
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import dataset, harness, pacer, quality
@@ -41,20 +40,6 @@ EXIT_USAGE = 2
 EXIT_CHILD = 3
 
 LOG_ENV_VAR = "PACEBENCH_LOG"
-
-
-@dataclass
-class GlobalOptions:
-    verbosity: int = 0
-    manifest_path: Path | None = None
-    color: str = "auto"
-
-    def use_color(self) -> bool:
-        if self.color == "always":
-            return True
-        if self.color == "never":
-            return False
-        return sys.stderr.isatty()
 
 
 def _configure_logging(verbosity: int) -> None:
@@ -87,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="count", default=0)
     parser.add_argument("--manifest", type=Path, default=None,
                         help="sequence manifest (JSON array)")
-    parser.add_argument("--color", choices=("auto", "always", "never"), default="auto")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pace = sub.add_parser("pace", help="deliver frames to a sink at the capture rate")
@@ -138,24 +122,19 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     _configure_logging(args.verbose)
-    opts = GlobalOptions(
-        verbosity=args.verbose,
-        manifest_path=getattr(args, "manifest", None),
-        color=args.color,
-    )
     try:
-        return args.func(args, opts)
+        return args.func(args)
     except ConfigError as exc:
-        _print_error(exc, opts)
+        _print_error(exc)
         return EXIT_USAGE
     except EncoderRunError as exc:
-        _print_error(exc, opts)
+        _print_error(exc)
         return EXIT_CHILD
     except ComputationError as exc:
-        _print_error(exc, opts)
+        _print_error(exc)
         return EXIT_COMPUTATION
     except PacebenchError as exc:
-        _print_error(exc, opts)
+        _print_error(exc)
         return EXIT_COMPUTATION
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
@@ -166,21 +145,18 @@ def main() -> None:
     sys.exit(dispatch())
 
 
-def _print_error(exc: PacebenchError, opts: GlobalOptions) -> None:
-    line = f"error: {exc.code}: {exc}"
-    if opts.use_color():
-        line = f"\x1b[31m{line}\x1b[0m"
-    print(line, file=sys.stderr)
+def _print_error(exc: PacebenchError) -> None:
+    print(f"error: {exc.code}: {exc}", file=sys.stderr)
 
 
-def _require_manifest(opts: GlobalOptions) -> list[dataset.VideoSequence]:
-    if opts.manifest_path is None:
+def _require_manifest(args) -> list[dataset.VideoSequence]:
+    if args.manifest is None:
         raise ConfigError("a manifest is required (--manifest)")
-    return dataset.load_manifest(opts.manifest_path)
+    return dataset.load_manifest(args.manifest)
 
 
-def cmd_pace(args, opts: GlobalOptions) -> int:
-    sequences = _require_manifest(opts)
+def cmd_pace(args) -> int:
+    sequences = _require_manifest(args)
     matches = [s for s in sequences if s.short_name == args.seq]
     if not matches:
         raise ConfigError(f"sequence '{args.seq}' is not in the manifest")
@@ -227,9 +203,9 @@ def _percentile(values, q: float) -> float:
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
-def cmd_bench(args, opts: GlobalOptions) -> int:
+def cmd_bench(args) -> int:
     config = harness.load_benchmark_config(args.config)
-    manifest_path = opts.manifest_path or config.manifest
+    manifest_path = args.manifest or config.manifest
     if manifest_path is None:
         raise ConfigError("a manifest is required (--manifest or the config's manifest key)")
     sequences = {s.short_name: s for s in dataset.load_manifest(manifest_path)}
@@ -253,7 +229,7 @@ def cmd_bench(args, opts: GlobalOptions) -> int:
     return EXIT_OK
 
 
-def cmd_bd(args, opts: GlobalOptions) -> int:
+def cmd_bd(args) -> int:
     from . import bd as bd_metrics
     ref = load_curve_csv(args.ref)
     test = load_curve_csv(args.test)
@@ -292,9 +268,9 @@ def _select_runs(
     return list(chosen.values())
 
 
-def cmd_report(args, opts: GlobalOptions) -> int:
+def cmd_report(args) -> int:
     from . import report as report_mod
-    sequences = _require_manifest(opts)
+    sequences = _require_manifest(args)
     runs_dir: Path = args.runs
     record_paths, quality_names = [], set()
     for p in runs_dir.glob(f"*{RECORD_SUFFIX}"):

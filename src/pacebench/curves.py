@@ -82,8 +82,11 @@ def save_curve_csv(curve: RateQualityCurve, path: str | Path) -> None:
 
 def load_curve_csv(path: str | Path, label: str | None = None) -> RateQualityCurve:
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InvalidInputError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
     if not rows or tuple(rows[0]) != CURVE_CSV_HEADER:
         raise InvalidInputError(
             f"{path}: expected header {','.join(CURVE_CSV_HEADER)}"

@@ -8,13 +8,12 @@ must agree with the manifest entry or loading fails.
 
 from __future__ import annotations
 
-import json
 import os
 import stat
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import Iterator
 
 from .errors import (
     ConfigError,
@@ -23,6 +22,7 @@ from .errors import (
     TruncationError,
     Y4mParseError,
 )
+from .ioutil import load_json
 
 
 class PixelFormat(str, Enum):
@@ -50,6 +50,7 @@ MANIFEST_REQUIRED_KEYS = (
     "frame_count",
 )
 _MANIFEST_INT_KEYS = ("fps_num", "fps_den", "width", "height", "frame_count")
+_MANIFEST_STR_KEYS = ("name", "short_name", "path", "pixel_format")
 
 
 def frame_byte_size(width: int, height: int, fmt: PixelFormat = PixelFormat.I420_8BIT) -> int:
@@ -99,7 +100,7 @@ class VideoSequence:
             )
         else:
             expected = self.duration_s * self.fps_num / self.fps_den
-            if abs(self.frame_count - expected) > 0.5 + 1e-9:
+            if not abs(self.frame_count - expected) <= 0.5 + 1e-9:  # NaN fails too
                 raise ValueError(
                     f"frame_count {self.frame_count} inconsistent with duration "
                     f"{self.duration_s} s at {self.fps_num}/{self.fps_den} fps "
@@ -345,22 +346,9 @@ class FrameReader:
         return False
 
 
-# The container is told apart by SourceFile, so both names are one reader.
-RawYuvFrameReader = Y4mFrameReader = FrameReader
-
-
 def open_frame_reader(path: str | Path, sequence: VideoSequence) -> FrameReader:
     """Open a regular source file with the reader matching its container."""
     return FrameReader(SourceFile(path, sequence))
-
-
-def write_frames_raw(frames: Iterable[FrameBuffer], sink: BinaryIO) -> int:
-    """Write frames as headerless planar YUV; returns the frame count."""
-    count = 0
-    for frame in frames:
-        sink.write(frame.payload)
-        count += 1
-    return count
 
 
 def load_manifest(path: str | Path) -> list[VideoSequence]:
@@ -369,26 +357,25 @@ def load_manifest(path: str | Path) -> list[VideoSequence]:
     Relative source paths are resolved against the manifest's directory.
     """
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(data, list):
-        raise ManifestError(f"{path}: manifest must be a JSON array")
-
+    data = load_json(path, ManifestError, list)
     sequences: list[VideoSequence] = []
     seen: set[str] = set()
     for i, entry in enumerate(data):
-        label = entry.get("short_name", f"entry #{i}") if isinstance(entry, dict) else f"entry #{i}"
         if not isinstance(entry, dict):
-            raise ManifestError(f"{label}: manifest entries must be JSON objects")
+            raise ManifestError(f"entry #{i}: manifest entries must be JSON objects")
+        label = entry["short_name"] if isinstance(entry.get("short_name"), str) else f"entry #{i}"
         missing = [k for k in MANIFEST_REQUIRED_KEYS if k not in entry]
         if missing:
             raise ManifestError(f"{label}: missing key(s) {', '.join(missing)}")
         for key in _MANIFEST_INT_KEYS:
             if type(entry[key]) is not int:  # not bool, nor a float such as 4.0
                 raise ManifestError(f"{label}: {key} must be an integer, got {entry[key]!r}")
+        for key in _MANIFEST_STR_KEYS:
+            if not isinstance(entry[key], str):
+                raise ManifestError(f"{label}: {key} must be a string, got {entry[key]!r}")
+        duration = entry.get("duration_s")
+        if duration is not None and type(duration) not in (int, float):
+            raise ManifestError(f"{label}: duration_s must be a number, got {duration!r}")
         source = Path(entry["path"])
         if not source.is_absolute():
             source = path.parent / source
@@ -402,10 +389,10 @@ def load_manifest(path: str | Path) -> list[VideoSequence]:
                 height=entry["height"],
                 frame_count=entry["frame_count"],
                 pixel_format=entry["pixel_format"],
-                duration_s=entry.get("duration_s"),
+                duration_s=duration,
                 path=source,
             )
-        except (ValueError, InvalidGeometryError) as exc:
+        except (ValueError, OverflowError, InvalidGeometryError) as exc:
             raise ManifestError(f"{label}: {exc}") from exc
         if seq.short_name in seen:
             raise ManifestError(f"duplicate short_name '{seq.short_name}'")

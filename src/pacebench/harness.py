@@ -52,7 +52,7 @@ from .errors import (
     InvalidInputError,
     TemplateError,
 )
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, load_json
 from .pacer import FileSpan, PacingReport, write_all
 
 log = logging.getLogger(__name__)
@@ -557,13 +557,7 @@ def _string_array(where: str | Path, key: str, value) -> tuple[str, ...]:
 def load_benchmark_config(path: str | Path) -> BenchmarkConfig:
     """Load a benchmark config; relative paths resolve against the config file."""
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
+    data = load_json(path, ConfigError, dict)
     try:
         profiles = tuple(EncoderProfile.from_dict(p) for p in data["profiles"])
         bitrates = data["bitrates_kbps"]
@@ -610,13 +604,7 @@ def save_run_record(record: RunRecord, path: str | Path) -> None:
 
 def load_run_record(path: str | Path) -> RunRecord:
     """Read a saved run record; a file that is not one raises InvalidInputError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise InvalidInputError(f"{path}: not a JSON run record: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InvalidInputError(f"{path}: a run record must be a JSON object")
+    data = load_json(path, InvalidInputError, dict)
     try:
         return RunRecord.from_dict(data)
     except KeyError as exc:

@@ -27,11 +27,12 @@ from .errors import (
     ComputationError,
     DuplicatePointError,
     InsufficientDataError,
+    InvalidInputError,
     MetricSchemaError,
     ScoreRangeError,
 )
 from .harness import RunRecord
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, load_json
 
 SCORE_MIN = 0.0
 SCORE_MAX = 100.0
@@ -115,17 +116,7 @@ def parse_metric_report(path: str | Path, data: bytes | None = None) -> QualityR
     *data*, when given, is the report's content already read from *path*,
     which then only names the report in errors.
     """
-    path = Path(path)
-    if data is None:
-        data = path.read_bytes()
-    try:
-        data = json.loads(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise MetricSchemaError(f"{path}: not valid UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MetricSchemaError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise MetricSchemaError(f"{path}: report must be a JSON object")
+    data = load_json(path, MetricSchemaError, dict, data=data)
 
     is_external = "pooled_metrics" in data or (
         isinstance(data.get("frames"), list)
@@ -197,11 +188,10 @@ def pooled_scores(
 
 def _read_score_cache(path: Path) -> dict:
     try:
-        cache = json.loads(path.read_bytes())
-    except (OSError, ValueError, RecursionError):
+        cache = load_json(path, InvalidInputError, dict)
+    except (OSError, InvalidInputError):
         return {}
-    if (not isinstance(cache, dict) or cache.get("version") != _SCORE_CACHE_VERSION
-            or not isinstance(cache.get("scores"), dict)):
+    if cache.get("version") != _SCORE_CACHE_VERSION or not isinstance(cache.get("scores"), dict):
         return {}
     return cache["scores"]
 

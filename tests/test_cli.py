@@ -83,6 +83,12 @@ class TestDispatchExitCodes:
     def test_unknown_subcommand_exits_two(self, capsys):
         assert dispatch(["frobnicate"]) == 2
 
+    def test_color_option_is_a_usage_error(self, tmp_path, capsys):
+        curve = _write_curve(tmp_path, "a.csv", [(1000, 50), (2000, 60)])
+        argv = ["bd", "--ref", str(curve), "--test", str(curve), "--kind", "rate"]
+        assert dispatch(["--color=never"] + argv) == 2
+        assert "unrecognized arguments: --color=never" in capsys.readouterr().err
+
     def test_bd_output_is_deterministic(self, tmp_path, capsys):
         ref = _write_curve(tmp_path, "r.csv", [(1000, 50), (2000, 60), (4000, 70)])
         test = _write_curve(tmp_path, "t.csv", [(900, 52), (2100, 62), (3900, 72)])
@@ -313,9 +319,13 @@ def _write_log(path, payload):
     path.write_text(json.dumps(payload))
 
 
+def _report_argv(manifest, runs, out, kind="rate", fmt="md"):
+    return ["--manifest", str(manifest), "report", "--runs", str(runs),
+            "--anchor", "a", "--kind", kind, "--format", fmt, "--out", str(out)]
+
+
 def _report(manifest, runs, out, kind="rate", fmt="md"):
-    return dispatch(["--manifest", str(manifest), "report", "--runs", str(runs),
-                     "--anchor", "a", "--kind", kind, "--format", fmt, "--out", str(out)])
+    return dispatch(_report_argv(manifest, runs, out, kind, fmt))
 
 
 @pytest.fixture
@@ -370,9 +380,12 @@ class TestReportScoreCache:
     @pytest.mark.parametrize("corrupt", [
         lambda cache: b"\xff{not json",
         lambda cache: b"[1, 2]",
+        lambda cache: b"{not json",
+        lambda cache: b"[" * 200_000,
         lambda cache: json.dumps({**cache, "version": cache["version"] + 1}).encode(),
         lambda cache: json.dumps({**cache, "scores": []}).encode(),
-    ], ids=["garbage", "not-an-object", "other-version", "scores-not-an-object"])
+    ], ids=["garbage", "not-an-object", "not-json", "nested", "other-version",
+            "scores-not-an-object"])
     def test_bad_cache_is_ignored_and_rewritten(self, tmp_path, parse_calls, corrupt):
         manifest, runs = _write_report_campaign(tmp_path)
         assert _report(manifest, runs, tmp_path / "m.md") == 0
@@ -513,6 +526,65 @@ class TestMalformedReportInputs:
         assert _report(manifest, runs, tmp_path / "m.md") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: metric-schema: ") and str(bad) in err
+
+
+def _command_reading(tmp_path, kind):
+    """argv of a command that reads an input file of *kind*, and that file's path."""
+    if kind == "config":
+        config = tmp_path / "config.json"
+        return ["bench", "--config", str(config)], config
+    if kind == "curve-csv":
+        good = _write_curve(tmp_path, "good.csv", [(1000, 50), (2000, 60)])
+        bad = tmp_path / "bad.csv"
+        return ["bd", "--ref", str(bad), "--test", str(good), "--kind", "rate"], bad
+    manifest, runs = _write_report_campaign(tmp_path)
+    path = {"manifest": manifest,
+            "run-record": runs / "a__SY25__800__unpaced__rep0.json",
+            "quality-log": runs / "a__SY25__800__unpaced__rep0.quality.json"}[kind]
+    return _report_argv(manifest, runs, tmp_path / "m.md"), path
+
+
+def _unusable_inputs():
+    """(kind, content, exit code, error code) of input files each command must refuse."""
+    json_inputs = [("manifest", 2, "manifest", b"{}"), ("config", 2, "config", b"[]"),
+                   ("run-record", 1, "invalid-input", b"[]"),
+                   ("quality-log", 1, "metric-schema", b"[]")]
+    for kind, exit_code, code, wrong_type in json_inputs:
+        for name, content in (("not-utf8", b'{"a": "\xff"}'), ("not-json", b"{not json"),
+                              ("nested", b"[" * 200_000), ("wrong-type", wrong_type)):
+            yield pytest.param(kind, content, exit_code, code, id=f"{kind}-{name}")
+    for name, content in (("not-utf8", b"bitrate_kbps,quality\n1000,50\xff\n2000,60\n"),
+                          ("field-too-large", b"bitrate_kbps,quality\n1" + b"0" * 200_000)):
+        yield pytest.param("curve-csv", content, 1, "invalid-input", id=f"curve-csv-{name}")
+
+
+class TestUnusableInputFiles:
+    @pytest.mark.parametrize("kind,content,exit_code,code", _unusable_inputs())
+    def test_one_error_line_naming_the_file(self, tmp_path, capsys, kind, content,
+                                            exit_code, code):
+        argv, path = _command_reading(tmp_path, kind)
+        path.write_bytes(content)
+        capsys.readouterr()
+        assert dispatch(argv) == exit_code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {code}: {path}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key,value", [
+        ("path", 5), ("name", None), ("short_name", ["A"]), ("pixel_format", 420),
+        ("duration_s", "x"), ("duration_s", True), ("duration_s", float("nan")),
+        ("duration_s", 10 ** 400),
+    ], ids=["path-int", "name-null", "short-name-list", "pixel-format-int", "duration-str",
+            "duration-bool", "duration-nan", "duration-huge"])
+    def test_manifest_field_of_wrong_type_exits_two(self, tmp_path, capsys, key, value):
+        manifest, runs = _write_report_campaign(tmp_path)
+        entries = json.loads(manifest.read_text())
+        entries[0][key] = value
+        manifest.write_text(json.dumps(entries))
+        assert _report(manifest, runs, tmp_path / "m.md") == 2
+        err = capsys.readouterr().err
+        label = "entry #0" if key == "short_name" else "SY25"
+        assert err.startswith(f"error: manifest: {label}: ") and err.count("\n") == 1
 
 
 class TestAtomicWrites:

@@ -6,16 +6,14 @@ from hypothesis import given, strategies as st
 
 from pacebench.dataset import (
     FrameBuffer,
+    FrameReader,
     PixelFormat,
-    RawYuvFrameReader,
     VideoSequence,
-    Y4mFrameReader,
     build_y4m_header,
     frame_byte_size,
     load_manifest,
     open_frame_reader,
     parse_y4m_header,
-    write_frames_raw,
 )
 from pacebench.errors import (
     InvalidGeometryError,
@@ -161,9 +159,9 @@ class TestRawReader:
             FrameBuffer(frame_payload(seq, k), seq.width, seq.height)
             for k in range(5)
         ]
-        with open(seq.path, "wb") as fh:
-            assert write_frames_raw(originals, fh) == 5
+        seq.path.write_bytes(b"".join(f.payload for f in originals))
         with open_frame_reader(seq.path, seq) as reader:
+            assert isinstance(reader, FrameReader)
             reread = list(reader)
         assert [f.payload for f in reread] == [f.payload for f in originals]
 
@@ -173,6 +171,7 @@ class TestY4mReader:
         seq = make_sequence(frame_count=4, path=tmp_path / "a.y4m")
         write_y4m_source(seq.path, seq)
         with open_frame_reader(seq.path, seq) as reader:
+            assert isinstance(reader, FrameReader)
             frames = list(reader)
         assert [f.payload for f in frames] == [frame_payload(seq, k) for k in range(4)]
 
