@@ -1,6 +1,7 @@
 """Single executable with pace, bench, bd, and report subcommands.
 
-Exit codes are frozen for scripting:
+Exit codes are frozen for scripting (each error class carries its own as
+``exit_code``):
 
 * 0  success
 * 1  computation errors (no common range, degenerate curve, truncated data, ...)
@@ -22,12 +23,7 @@ from pathlib import Path
 
 from . import dataset, harness, pacer, quality
 from .curves import load_curve_csv, save_curve_csv
-from .errors import (
-    ComputationError,
-    ConfigError,
-    EncoderRunError,
-    PacebenchError,
-)
+from .errors import ComputationError, ConfigError, PacebenchError
 from .framerate import parse_fps
 from .harness import QUALITY_SUFFIX, RECORD_SUFFIX, RunMode, RunRecord
 from .ioutil import atomic_write_text
@@ -35,9 +31,7 @@ from .ioutil import atomic_write_text
 log = logging.getLogger("pacebench")
 
 EXIT_OK = 0
-EXIT_COMPUTATION = 1
 EXIT_USAGE = 2
-EXIT_CHILD = 3
 
 LOG_ENV_VAR = "PACEBENCH_LOG"
 
@@ -124,18 +118,9 @@ def dispatch(argv=None) -> int:
     _configure_logging(args.verbose)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        _print_error(exc)
-        return EXIT_USAGE
-    except EncoderRunError as exc:
-        _print_error(exc)
-        return EXIT_CHILD
-    except ComputationError as exc:
-        _print_error(exc)
-        return EXIT_COMPUTATION
     except PacebenchError as exc:
-        _print_error(exc)
-        return EXIT_COMPUTATION
+        print(f"error: {exc.code}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -143,10 +128,6 @@ def dispatch(argv=None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
-
-
-def _print_error(exc: PacebenchError) -> None:
-    print(f"error: {exc.code}: {exc}", file=sys.stderr)
 
 
 def _require_manifest(args) -> list[dataset.VideoSequence]:
@@ -166,10 +147,10 @@ def cmd_pace(args) -> int:
     )
 
     to_stdout = args.out == "-"
-    with dataset.open_frame_reader(args.input, seq) as reader:
+    with dataset.SourceFile(args.input, seq) as source:
         sink = sys.stdout.buffer if to_stdout else open(args.out, "wb")
         try:
-            report = pacer.run_paced((frame.payload for frame in reader), sink, fps_num, fps_den)
+            report = pacer.run_paced(source.spans(), sink, fps_num, fps_den)
         finally:
             if to_stdout:
                 sink.flush()

@@ -1,4 +1,4 @@
-"""Raw video sources: geometry arithmetic, Y4M headers, frame layout, readers, manifest.
+"""Raw video sources: geometry arithmetic, Y4M headers, frame layout and spans, manifest.
 
 Supports exactly one sample layout, 8-bit planar I420, which is what the
 uncompressed 1080p test clips use. Headerless ``.yuv`` files take their
@@ -23,6 +23,7 @@ from .errors import (
     Y4mParseError,
 )
 from .ioutil import load_json
+from .pacer import FileSpan
 
 
 class PixelFormat(str, Enum):
@@ -219,6 +220,7 @@ class SourceFile:
     or Y4mParseError at the first frame the file cannot supply. Y4M header
     errors and manifest disagreements are raised on opening. A non-regular
     file (a FIFO, a terminal) is refused, since frames are read by offset.
+    ``spans()`` is what every frame feed sends; iterating yields FrameBuffers.
     """
 
     def __init__(self, path: str | Path, sequence: VideoSequence):
@@ -295,60 +297,46 @@ class SourceFile:
             )
         return offset + end + 1
 
+    def spans(self, y4m_framing: bool = False) -> Iterator[FileSpan]:
+        """One FileSpan per frame: the bare payloads, or with ``y4m_framing`` each
+        after a bare FRAME line (a source marker's parameters are not forwarded)
+        and the first also after the stream header."""
+        marker = first = b""
+        if y4m_framing:
+            seq = self.sequence
+            marker = Y4M_FRAME_MARKER + b"\n"
+            first = build_y4m_header(seq.width, seq.height, seq.fps_num, seq.fps_den) + marker
+        for k, (offset, length) in enumerate(self.frame_ranges()):
+            yield FileSpan(self.fd, offset, length, first if k == 0 else marker, k)
+
+    def __iter__(self) -> Iterator[FrameBuffer]:
+        """Each frame's payload, read into memory."""
+        seq = self.sequence
+        for k, (offset, length) in enumerate(self.frame_ranges()):
+            payload = os.pread(self.fd, length, offset)
+            if len(payload) != length:  # the file shrank after it was checked
+                raise TruncationError(
+                    f"{seq.short_name}: truncated frame after {k} complete "
+                    f"frames (got {len(payload)} of {length} bytes)",
+                    frames_read=k,
+                )
+            yield FrameBuffer(payload, seq.width, seq.height, seq.pixel_format)
+
     def close(self) -> None:
         if self.fd >= 0:
             os.close(self.fd)
             self.fd = -1
 
-
-class FrameReader:
-    """Sequential single-consumer frame reader over a SourceFile.
-
-    Yields exactly ``sequence.frame_count`` frames, then end-of-stream;
-    a source that ends earlier raises TruncationError reporting how many
-    complete frames were read.
-    """
-
-    def __init__(self, source: SourceFile):
-        self._source = source
-        self._ranges = source.frame_ranges()
-        self.sequence = source.sequence
-        self.frames_read = 0
-
-    def read_frame(self) -> FrameBuffer | None:
-        span = next(self._ranges, None)
-        if span is None:
-            return None
-        offset, length = span
-        payload = os.pread(self._source.fd, length, offset)
-        seq = self.sequence
-        if len(payload) != length:  # the file shrank after it was checked
-            raise TruncationError(
-                f"{seq.short_name}: truncated frame after {self.frames_read} complete "
-                f"frames (got {len(payload)} of {length} bytes)",
-                frames_read=self.frames_read,
-            )
-        self.frames_read += 1
-        return FrameBuffer(payload, seq.width, seq.height, seq.pixel_format)
-
-    def __iter__(self) -> Iterator[FrameBuffer]:
-        while (frame := self.read_frame()) is not None:
-            yield frame
-
-    def close(self) -> None:
-        self._source.close()
-
-    def __enter__(self):
+    def __enter__(self) -> "SourceFile":
         return self
 
-    def __exit__(self, *exc):
+    def __exit__(self, *exc) -> None:
         self.close()
-        return False
 
 
-def open_frame_reader(path: str | Path, sequence: VideoSequence) -> FrameReader:
-    """Open a regular source file with the reader matching its container."""
-    return FrameReader(SourceFile(path, sequence))
+def open_frame_reader(path: str | Path, sequence: VideoSequence) -> SourceFile:
+    """Open a regular source file; iterating it yields each FrameBuffer."""
+    return SourceFile(path, sequence)
 
 
 def load_manifest(path: str | Path) -> list[VideoSequence]:

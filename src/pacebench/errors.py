@@ -1,8 +1,8 @@
 """Exception taxonomy.
 
 Every error carries a stable ``code`` slug used for the machine-readable
-line the CLI prints on stderr. The CLI maps exception families to exit
-codes: ConfigError -> 2, EncoderRunError -> 3, ComputationError -> 1.
+line the CLI prints on stderr, and the ``exit_code`` of its family:
+ConfigError 2, EncoderRunError 3, every other error 1.
 """
 
 from __future__ import annotations
@@ -10,12 +10,14 @@ from __future__ import annotations
 
 class PacebenchError(Exception):
     code = "error"
+    exit_code = 1
 
 
 class ConfigError(PacebenchError):
-    """Bad configuration, manifest, or CLI input (exit code 2)."""
+    """Bad configuration, manifest, or CLI input."""
 
     code = "config"
+    exit_code = 2
 
 
 class ManifestError(ConfigError):
@@ -27,7 +29,7 @@ class TemplateError(ConfigError):
 
 
 class ComputationError(PacebenchError):
-    """Data or computation failure on otherwise valid configuration (exit code 1)."""
+    """Data or computation failure on otherwise valid configuration."""
 
     code = "computation"
 
@@ -108,9 +110,10 @@ class RankingUnavailableError(ComputationError):
 
 
 class EncoderRunError(PacebenchError):
-    """An external encoder (or metric tool) failed to spawn or run (exit code 3)."""
+    """An external encoder (or metric tool) failed to spawn or run."""
 
     code = "encoder-run"
+    exit_code = 3
 
     def __init__(self, message: str, stderr_tail: str = "", exit_status: int | None = None):
         super().__init__(message)

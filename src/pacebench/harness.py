@@ -24,6 +24,7 @@ and metric tools share this model.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import fcntl
 import io
@@ -39,10 +40,10 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import pacer
-from .dataset import SourceFile, VideoSequence, Y4M_FRAME_MARKER, build_y4m_header
+from .dataset import SourceFile, VideoSequence
 from .dataset import open_frame_reader  # noqa: F401  (perfbench's tracer patches this name)
 from .errors import (
     ConfigError,
@@ -52,8 +53,8 @@ from .errors import (
     InvalidInputError,
     TemplateError,
 )
-from .ioutil import atomic_write_text, load_json
-from .pacer import FileSpan, PacingReport, write_all
+from .ioutil import JSON_NUMBER, atomic_write_text, load_json, typed_fields
+from .pacer import PacingReport, write_all
 
 log = logging.getLogger(__name__)
 
@@ -150,8 +151,8 @@ class EncoderProfile:
         object.__setattr__(self, "command_template", tuple(self.command_template))
         object.__setattr__(self, "input_mode", InputMode(self.input_mode))
         object.__setattr__(self, "output_mode", OutputMode(self.output_mode))
-        if not self.name:
-            raise ConfigError("profile name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise ConfigError(f"profile name must be a non-empty string, got {self.name!r}")
         if not self.command_template:
             raise ConfigError(f"profile '{self.name}': command template is empty")
         counts = _count_placeholders(self.command_template)
@@ -214,6 +215,13 @@ def render_command(
     return _substitute_tokens(profile.command_template, values, f"profile '{profile.name}'")
 
 
+_RECORD_FIELDS = {
+    "profile_name": (str,), "sequence_short_name": (str,), "target_bitrate_kbps": JSON_NUMBER,
+    "wall_time_s": JSON_NUMBER, "frames_in": (int,), "throughput_fps": JSON_NUMBER,
+    "output_size_bytes": (int,), "achieved_bitrate_kbps": JSON_NUMBER, "exit_status": (int,),
+}
+
+
 @dataclass(frozen=True)
 class RunRecord:
     """Measurements of one (encoder, sequence, bitrate, mode) execution."""
@@ -247,20 +255,13 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunRecord":
+        """A record from its JSON form; a bad field raises KeyError, TypeError or ValueError."""
+        fields = typed_fields(data, _RECORD_FIELDS)
         pacing = data.get("pacing")
-        return cls(
-            profile_name=data["profile_name"],
-            sequence_short_name=data["sequence_short_name"],
-            target_bitrate_kbps=data["target_bitrate_kbps"],
-            mode=RunMode(data["mode"]),
-            wall_time_s=data["wall_time_s"],
-            frames_in=data["frames_in"],
-            throughput_fps=data["throughput_fps"],
-            output_size_bytes=data["output_size_bytes"],
-            achieved_bitrate_kbps=data["achieved_bitrate_kbps"],
-            exit_status=data["exit_status"],
-            pacing=PacingReport.from_dict(pacing) if pacing else None,
-        )
+        if pacing is not None and type(pacing) is not dict:
+            raise TypeError(f"pacing must be an object or null, got {pacing!r:.40}")
+        return cls(**fields, mode=RunMode(data["mode"]),
+                   pacing=None if pacing is None else PacingReport.from_dict(pacing))
 
 
 def achieved_bitrate(output_size_bytes: int, duration_s: float) -> float:
@@ -296,21 +297,6 @@ def throughput_stats(records: Iterable[RunRecord]) -> dict[float, tuple[float, f
     if not groups:
         raise EmptyGroupError("no run records to aggregate")
     return {bitrate: mean_sample_std(values) for bitrate, values in sorted(groups.items())}
-
-
-def _frame_spans(source: SourceFile, input_mode: InputMode) -> Iterator[FileSpan]:
-    """One span per frame, framed per the encoder's input mode.
-
-    For stdin_y4m each payload follows a bare FRAME line (a source marker's
-    parameters are not forwarded), and the first also the stream header.
-    """
-    marker = first = b""
-    if input_mode is InputMode.STDIN_Y4M:
-        seq = source.sequence
-        marker = Y4M_FRAME_MARKER + b"\n"
-        first = build_y4m_header(seq.width, seq.height, seq.fps_num, seq.fps_den) + marker
-    for k, (offset, length) in enumerate(source.frame_ranges()):
-        yield FileSpan(source.fd, offset, length, first if k == 0 else marker, k)
 
 
 def _enlarge_pipe(fd: int) -> None:
@@ -363,19 +349,17 @@ def _run(profile, seq, bitrate_kbps, mode, source_path, output_path) -> RunRecor
     if source is None:
         raise ConfigError(f"{seq.short_name}: no source path given and none in the manifest")
 
-    source_file = SourceFile(source, seq) if profile.input_mode is not InputMode.FILE else None
-    temp_output = None
-    try:
-        if output_path is None:
-            fd, temp_output = tempfile.mkstemp(suffix=OUTPUT_SUFFIX, prefix="pacebench-")
-            os.close(fd)
-            output_path = temp_output
-        return _run_spawned(profile, seq, bitrate_kbps, mode, source, source_file,
-                            Path(output_path))
-    finally:
-        if source_file is not None:
-            source_file.close()
-        if temp_output:
+    piped = profile.input_mode is not InputMode.FILE
+    with SourceFile(source, seq) if piped else contextlib.nullcontext() as source_file:
+        if output_path is not None:
+            return _run_spawned(profile, seq, bitrate_kbps, mode, source, source_file,
+                                Path(output_path))
+        fd, temp_output = tempfile.mkstemp(suffix=OUTPUT_SUFFIX, prefix="pacebench-")
+        os.close(fd)
+        try:
+            return _run_spawned(profile, seq, bitrate_kbps, mode, source, source_file,
+                                Path(temp_output))
+        finally:
             _unlink_quietly(temp_output)
 
 
@@ -418,7 +402,7 @@ def _run_spawned(profile, seq, bitrate_kbps, mode, source, source_file,
         try:
             if source_file is not None:
                 _enlarge_pipe(child.stdin.fileno())
-                spans = _frame_spans(source_file, profile.input_mode)
+                spans = source_file.spans(profile.input_mode is InputMode.STDIN_Y4M)
                 try:
                     if mode is RunMode.PACED:
                         pacing_report = pacer.run_paced(spans, child.stdin,
@@ -537,6 +521,8 @@ class BenchmarkConfig:
         rates = self.bitrates_kbps
         if not rates:
             raise ConfigError("bitrates_kbps must be non-empty")
+        if not all(math.isfinite(b) for b in rates):
+            raise ConfigError(f"bitrates_kbps must be finite, got {list(rates)}")
         if any(b <= 0 for b in rates):
             raise ConfigError("bitrates_kbps must be strictly positive")
         if any(b1 <= b0 for b0, b1 in zip(rates, rates[1:])):
@@ -581,7 +567,7 @@ def load_benchmark_config(path: str | Path) -> BenchmarkConfig:
         )
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     def resolve(p: Path | None) -> Path | None:

@@ -1,4 +1,4 @@
-"""Input files read as JSON, and atomic writes: outputs appear fully written or not at all."""
+"""Input files read as JSON with typed fields, and atomic writes: outputs appear whole or not at all."""
 
 from __future__ import annotations
 
@@ -8,6 +8,10 @@ import tempfile
 from pathlib import Path
 
 _JSON_TYPE_NAMES = {dict: "object", list: "array"}
+
+JSON_NUMBER = (int, float)  # for typed_fields, where a JSON true or false is no number
+_FIELD_TYPE_NAMES = {(str,): "a string", JSON_NUMBER: "a number", (int,): "an integer",
+                     (list,): "an array"}
 
 
 def load_json(path: str | Path, error: type[Exception], expect: type, data: bytes | None = None):
@@ -27,6 +31,18 @@ def load_json(path: str | Path, error: type[Exception], expect: type, data: byte
     if not isinstance(value, expect):
         raise error(f"{path}: top level must be a JSON {_JSON_TYPE_NAMES[expect]}")
     return value
+
+
+def typed_fields(data: dict, fields: dict[str, tuple[type, ...]], where: str = "") -> dict:
+    """*data*'s value for each key of *fields*. A value of none of the key's types
+    raises TypeError naming the field as *where* + key; a missing one, KeyError."""
+    values = {}
+    for key, types in fields.items():
+        value = values[key] = data[key]
+        if type(value) not in types:
+            raise TypeError(f"{where}{key} must be {_FIELD_TYPE_NAMES[types]}, "
+                            f"got {value!r:.40}")
+    return values
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:

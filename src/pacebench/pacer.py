@@ -18,6 +18,7 @@ as dropped frames.
 
 from __future__ import annotations
 
+import errno
 import functools
 import os
 import time
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, NamedTuple
 
 from .errors import DeliveryAbortedError, InvalidInputError, InvalidRateError, TruncationError
+from .ioutil import JSON_NUMBER, typed_fields
 
 # How long before each deadline the sleep ends and the busy-wait begins.
 # Every frame spins for what is left of the window after it wakes, so a wider
@@ -71,6 +73,11 @@ class PacingSchedule:
         return self.start_epoch + k * self.frame_interval_s
 
 
+_REPORT_FIELDS = {"frames_sent": (int,), "total_duration_s": JSON_NUMBER,
+                  "lateness_per_frame": (list,), "blocked_time_s": JSON_NUMBER,
+                  "start_epoch": JSON_NUMBER}
+
+
 @dataclass(frozen=True)
 class PacingReport:
     """Delivery-timing record of one paced run; immutable once complete.
@@ -110,13 +117,8 @@ class PacingReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PacingReport":
-        return cls(
-            frames_sent=data["frames_sent"],
-            total_duration_s=data["total_duration_s"],
-            lateness_per_frame=tuple(data["lateness_per_frame"]),
-            blocked_time_s=data["blocked_time_s"],
-            start_epoch=data["start_epoch"],
-        )
+        """A run record's ``pacing`` object; the lateness values are not checked."""
+        return cls(**typed_fields(data, _REPORT_FIELDS, "pacing."))
 
 
 @functools.cache
@@ -179,8 +181,10 @@ def write_all(sink: IO[bytes], data: bytes | FileSpan) -> None:
     """Write one frame chunk, or send one FileSpan, to the sink.
 
     A span's payload moves from the file to the sink's descriptor inside the
-    kernel (``os.sendfile``; Linux, when the sink is a pipe). A file that
-    ends before the span does raises TruncationError instead of retrying.
+    kernel (``os.sendfile``; Linux, when the sink is a pipe). Where sendfile
+    refuses the sink with EINVAL (an ``O_APPEND`` descriptor), the rest of
+    the span is read with ``os.pread`` and written. A file that ends before
+    the span does raises TruncationError instead of retrying.
     """
     if not isinstance(data, FileSpan):
         _write_bytes(sink, data)
@@ -191,7 +195,15 @@ def write_all(sink: IO[bytes], data: bytes | FileSpan) -> None:
     out = sink.fileno()
     offset, end = data.offset, data.offset + data.length
     while offset < end:
-        sent = os.sendfile(out, data.fd, offset, end - offset)
+        try:
+            sent = os.sendfile(out, data.fd, offset, end - offset)
+        except OSError as exc:
+            if exc.errno != errno.EINVAL:
+                raise
+            rest = os.pread(data.fd, end - offset, offset)
+            _write_bytes(sink, rest)
+            sink.flush()
+            sent = len(rest)
         if not sent:
             raise TruncationError(
                 f"source ended inside frame {data.index} "

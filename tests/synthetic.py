@@ -7,6 +7,7 @@ whichever ``conftest.py`` pytest loaded last.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from pathlib import Path
@@ -58,6 +59,25 @@ def write_y4m_source(path: Path, seq: VideoSequence) -> Path:
         for k in range(seq.frame_count):
             fh.write(b"FRAME\n")
             fh.write(frame_payload(seq, k))
+    return path
+
+
+def write_manifest(tmp_path: Path, sequences) -> Path:
+    entries = []
+    for seq in sequences:
+        entries.append({
+            "name": seq.name,
+            "short_name": seq.short_name,
+            "path": str(seq.path),
+            "fps_num": seq.fps_num,
+            "fps_den": seq.fps_den,
+            "width": seq.width,
+            "height": seq.height,
+            "pixel_format": seq.pixel_format.value,
+            "frame_count": seq.frame_count,
+        })
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(entries))
     return path
 
 

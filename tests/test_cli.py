@@ -8,32 +8,13 @@ import numpy as np
 import pytest
 
 import pacebench
-from pacebench import quality
+from pacebench import cli, errors, quality
 from pacebench.cli import _percentile, dispatch
 from pacebench.curves import RateQualityCurve, save_curve_csv
 from pacebench.harness import RunMode, RunRecord, load_run_record, save_run_record
 from pacebench.ioutil import atomic_write_text
 
-from synthetic import make_sequence, mock_profile, write_raw_source
-
-
-def _write_manifest(tmp_path, sequences):
-    entries = []
-    for seq in sequences:
-        entries.append({
-            "name": seq.name,
-            "short_name": seq.short_name,
-            "path": str(seq.path),
-            "fps_num": seq.fps_num,
-            "fps_den": seq.fps_den,
-            "width": seq.width,
-            "height": seq.height,
-            "pixel_format": seq.pixel_format.value,
-            "frame_count": seq.frame_count,
-        })
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(entries))
-    return path
+from synthetic import make_sequence, mock_profile, write_manifest, write_raw_source
 
 
 def _write_curve(tmp_path, name, points):
@@ -80,6 +61,19 @@ class TestDispatchExitCodes:
         assert code == 0
         assert capsys.readouterr().out.splitlines()[0] == "5.00"
 
+    @pytest.mark.parametrize("error,exit_code", [
+        (errors.PacebenchError, 1), (errors.TruncationError, 1),
+        (errors.DeliveryAbortedError, 1), (errors.ConfigError, 2),
+        (errors.ManifestError, 2), (errors.EncoderRunError, 3),
+    ])
+    def test_error_family_sets_exit_code(self, monkeypatch, capsys, error, exit_code):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cmd_bd", fail)
+        assert dispatch(["bd", "--ref", "r", "--test", "t", "--kind", "rate"]) == exit_code
+        assert capsys.readouterr().err == f"error: {error.code}: boom\n"
+
     def test_unknown_subcommand_exits_two(self, capsys):
         assert dispatch(["frobnicate"]) == 2
 
@@ -121,7 +115,7 @@ class TestDispatchExitCodes:
     def test_child_failure_exits_three(self, tmp_path, capsys):
         seq = make_sequence(frame_count=10, path=tmp_path / "src.yuv")
         write_raw_source(seq.path, seq)
-        manifest = _write_manifest(tmp_path, [seq])
+        manifest = write_manifest(tmp_path, [seq])
         profile = mock_profile("crash", "--fail-after", "2")
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
@@ -140,7 +134,7 @@ class TestPaceCommand:
     def test_paced_copy_to_file(self, tmp_path, capsys):
         seq = make_sequence(frame_count=5, fps_num=100, path=tmp_path / "src.yuv")
         write_raw_source(seq.path, seq)
-        manifest = _write_manifest(tmp_path, [seq])
+        manifest = write_manifest(tmp_path, [seq])
         out = tmp_path / "out.yuv"
         code = dispatch([
             "--manifest", str(manifest), "pace",
@@ -154,7 +148,7 @@ class TestPaceCommand:
     def test_fps_override(self, tmp_path, capsys):
         seq = make_sequence(frame_count=4, fps_num=1, path=tmp_path / "src.yuv")
         write_raw_source(seq.path, seq)
-        manifest = _write_manifest(tmp_path, [seq])
+        manifest = write_manifest(tmp_path, [seq])
         out = tmp_path / "out.yuv"
         code = dispatch([
             "--manifest", str(manifest), "pace",
@@ -166,7 +160,7 @@ class TestPaceCommand:
     def test_bad_fps_override_exits_two(self, tmp_path, capsys):
         seq = make_sequence(frame_count=2, path=tmp_path / "src.yuv")
         write_raw_source(seq.path, seq)
-        manifest = _write_manifest(tmp_path, [seq])
+        manifest = write_manifest(tmp_path, [seq])
         code = dispatch([
             "--manifest", str(manifest), "pace", "--input", str(seq.path),
             "--seq", "SY25", "--fps-override", "fast", "--out", str(tmp_path / "o"),
@@ -190,7 +184,7 @@ class TestPaceCommand:
     def test_unknown_sequence(self, tmp_path, capsys):
         seq = make_sequence(frame_count=5, path=tmp_path / "src.yuv")
         write_raw_source(seq.path, seq)
-        manifest = _write_manifest(tmp_path, [seq])
+        manifest = write_manifest(tmp_path, [seq])
         code = dispatch([
             "--manifest", str(manifest), "pace",
             "--input", str(seq.path), "--seq", "GHOST", "--out", str(tmp_path / "o"),
@@ -200,7 +194,7 @@ class TestPaceCommand:
     def test_unopenable_out_leaks_no_fd(self, tmp_path, capsys):
         seq = make_sequence(frame_count=2, path=tmp_path / "src.yuv")
         write_raw_source(seq.path, seq)
-        manifest = _write_manifest(tmp_path, [seq])
+        manifest = write_manifest(tmp_path, [seq])
         argv = ["--manifest", str(manifest), "pace", "--input", str(seq.path),
                 "--seq", "SY25", "--out", str(tmp_path / "missing" / "out.yuv")]
         before = len(os.listdir("/proc/self/fd"))
@@ -211,7 +205,7 @@ class TestPaceCommand:
     def test_non_integer_manifest_field_exits_2(self, tmp_path, capsys):
         seq = make_sequence(frame_count=5, path=tmp_path / "src.yuv")
         write_raw_source(seq.path, seq)
-        manifest = _write_manifest(tmp_path, [seq])
+        manifest = write_manifest(tmp_path, [seq])
         entries = json.loads(manifest.read_text())
         entries[0]["frame_count"] = "5"
         manifest.write_text(json.dumps(entries))
@@ -233,7 +227,7 @@ class TestBenchCommand:
     def test_unpaced_campaign(self, tmp_path, capsys):
         seq = make_sequence(frame_count=12, path=tmp_path / "src.yuv")
         write_raw_source(seq.path, seq)
-        manifest = _write_manifest(tmp_path, [seq])
+        manifest = write_manifest(tmp_path, [seq])
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "manifest": str(manifest),
@@ -252,7 +246,7 @@ class TestBenchCommand:
     def test_report_skips_a_record_without_quality_report(self, tmp_path, capsys, caplog):
         seq = make_sequence(frame_count=4, path=tmp_path / "src.yuv")
         write_raw_source(seq.path, seq)
-        manifest = _write_manifest(tmp_path, [seq])
+        manifest = write_manifest(tmp_path, [seq])
         runs = tmp_path / "runs"
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
@@ -277,10 +271,35 @@ class TestBenchCommand:
         skipped = [m for m in caplog.messages if "no quality report" in m]
         assert skipped == [f"no quality report for {records[0].name}; skipping"]
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("bitrates_kbps", "[NaN, 1000]", "bitrates_kbps must be finite"),
+        ("bitrates_kbps", "[1e400]", "bitrates_kbps must be finite"),
+        ("profile_name", "5", "profile name must be a non-empty string"),
+    ], ids=["nan-bitrate", "overflowing-bitrate", "numeric-profile-name"])
+    def test_config_value_exits_two(self, tmp_path, capsys, key, value, message):
+        seq = make_sequence(frame_count=4, path=tmp_path / "src.yuv")
+        write_raw_source(seq.path, seq)
+        profile = {**mock_profile("mock-a").to_dict(), "name": "NAME"}
+        text = json.dumps({
+            "manifest": str(write_manifest(tmp_path, [seq])),
+            "profiles": [profile],
+            "sequences": ["SY25"],
+            "bitrates_kbps": "LADDER",
+            "output_dir": str(tmp_path / "runs"),
+        })
+        ladder = value if key == "bitrates_kbps" else "[800]"
+        name = value if key == "profile_name" else '"mock-a"'
+        config = tmp_path / "config.json"
+        config.write_text(text.replace('"LADDER"', ladder).replace('"NAME"', name))
+        assert dispatch(["bench", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and message in err
+        assert not (tmp_path / "runs").exists()
+
     def test_only_filter_no_match(self, tmp_path, capsys):
         seq = make_sequence(frame_count=4, path=tmp_path / "src.yuv")
         write_raw_source(seq.path, seq)
-        manifest = _write_manifest(tmp_path, [seq])
+        manifest = write_manifest(tmp_path, [seq])
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "manifest": str(manifest),
@@ -299,7 +318,7 @@ def _write_report_campaign(tmp_path):
     per-frame logs in the external VMAF layout; "b" needs 0.8x the rate."""
     seq = make_sequence(frame_count=4, path=tmp_path / "src.yuv")
     write_raw_source(seq.path, seq)
-    manifest = _write_manifest(tmp_path, [seq])
+    manifest = write_manifest(tmp_path, [seq])
     runs = tmp_path / "runs"
     runs.mkdir()
     for profile, scale in (("a", 1.0), ("b", 0.8)):
@@ -518,6 +537,29 @@ class TestMalformedReportInputs:
         assert _report(manifest, runs, tmp_path / "m.md") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: invalid-input: ") and str(bad) in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("target_bitrate_kbps", "800"), ("throughput_fps", "x"),
+        ("achieved_bitrate_kbps", "900"), ("profile_name", 5),
+        ("pacing.lateness_per_frame", "abc"),
+    ])
+    def test_record_field_of_wrong_type_exits_one_naming_it(self, tmp_path, capsys,
+                                                           field, value):
+        manifest, runs = _write_report_campaign(tmp_path)
+        bad = runs / "a__SY25__800__paced__rep0.json"
+        data = json.loads(bad.read_text())
+        if field.startswith("pacing."):
+            data["pacing"] = {"frames_sent": 4, "total_duration_s": 0.1,
+                              "lateness_per_frame": value, "blocked_time_s": 0.0,
+                              "start_epoch": 0.0}
+        else:
+            data[field] = value
+        bad.write_text(json.dumps(data))
+        assert _report(manifest, runs, tmp_path / "m.md") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid-input: {bad}: malformed run record: "
+                              f"{field} must be ")
+        assert err.count("\n") == 1
 
     def test_quality_log_that_is_not_utf8_exits_one(self, tmp_path, capsys):
         manifest, runs = _write_report_campaign(tmp_path)

@@ -1,13 +1,14 @@
 import io
 import json
+import os
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pacebench.dataset import (
     FrameBuffer,
-    FrameReader,
     PixelFormat,
+    SourceFile,
     VideoSequence,
     build_y4m_header,
     frame_byte_size,
@@ -133,25 +134,37 @@ class TestRawReader:
     def test_exact_frames_then_eos(self, tmp_path):
         seq = make_sequence(frame_count=6, path=tmp_path / "a.yuv")
         write_raw_source(seq.path, seq)
-        with open_frame_reader(seq.path, seq) as reader:
-            frames = list(reader)
-            assert len(frames) == 6
-            assert reader.read_frame() is None
+        with SourceFile(seq.path, seq) as source:
+            frames = iter(source)
+            assert len(list(frames)) == 6
+            assert next(frames, None) is None
 
     def test_truncated_file(self, tmp_path):
         seq = make_sequence(frame_count=7, path=tmp_path / "a.yuv")
         data = b"".join(frame_payload(seq, k) for k in range(6)) + b"\0\0\0"
         seq.path.write_bytes(data)
-        with open_frame_reader(seq.path, seq) as reader:
+        with SourceFile(seq.path, seq) as source:
             with pytest.raises(TruncationError) as err:
-                list(reader)
+                list(source)
             assert err.value.frames_read == 6
+
+    def test_file_shrinks_after_opening(self, tmp_path):
+        seq = make_sequence(frame_count=4, path=tmp_path / "a.yuv")
+        write_raw_source(seq.path, seq)
+        with SourceFile(seq.path, seq) as source:
+            frames = iter(source)
+            next(frames)
+            os.truncate(seq.path, seq.frame_bytes + 2)
+            with pytest.raises(TruncationError, match="got 2 of 6 bytes") as err:
+                next(frames)
+            assert err.value.frames_read == 1
 
     def test_stops_at_declared_count(self, tmp_path):
         seq = make_sequence(frame_count=3, path=tmp_path / "a.yuv")
         seq.path.write_bytes(b"\0" * (seq.frame_bytes * 10))
-        with open_frame_reader(seq.path, seq) as reader:
-            assert len(list(reader)) == 3
+        with SourceFile(seq.path, seq) as source:
+            assert len(list(source)) == 3
+            assert len(list(source.spans())) == 3
 
     def test_raw_round_trip(self, tmp_path):
         seq = make_sequence(width=4, height=4, frame_count=5, path=tmp_path / "a.yuv")
@@ -161,9 +174,24 @@ class TestRawReader:
         ]
         seq.path.write_bytes(b"".join(f.payload for f in originals))
         with open_frame_reader(seq.path, seq) as reader:
-            assert isinstance(reader, FrameReader)
+            assert isinstance(reader, SourceFile)
             reread = list(reader)
         assert [f.payload for f in reread] == [f.payload for f in originals]
+        assert reader.fd == -1  # closed on leaving the block
+
+    def test_spans_are_the_payloads(self, tmp_path):
+        seq = make_sequence(frame_count=3, path=tmp_path / "a.yuv")
+        write_raw_source(seq.path, seq)
+        with SourceFile(seq.path, seq) as source:
+            spans = list(source.spans())
+            assert [os.pread(s.fd, s.length, s.offset) for s in spans] == [
+                frame_payload(seq, k) for k in range(3)]
+        assert [(s.prefix, s.index) for s in spans] == [(b"", 0), (b"", 1), (b"", 2)]
+
+
+def _y4m_stream(source: SourceFile, y4m_framing: bool) -> bytes:
+    return b"".join(s.prefix + os.pread(s.fd, s.length, s.offset)
+                    for s in source.spans(y4m_framing))
 
 
 class TestY4mReader:
@@ -171,9 +199,22 @@ class TestY4mReader:
         seq = make_sequence(frame_count=4, path=tmp_path / "a.y4m")
         write_y4m_source(seq.path, seq)
         with open_frame_reader(seq.path, seq) as reader:
-            assert isinstance(reader, FrameReader)
+            assert isinstance(reader, SourceFile)
             frames = list(reader)
         assert [f.payload for f in frames] == [frame_payload(seq, k) for k in range(4)]
+
+    def test_spans_reframe_or_strip_markers(self, tmp_path):
+        seq = make_sequence(frame_count=3, path=tmp_path / "a.y4m")
+        with open(seq.path, "wb") as fh:
+            fh.write(build_y4m_header(seq.width, seq.height, seq.fps_num, seq.fps_den, "420jpeg"))
+            for k in range(3):
+                fh.write(b"FRAME Ip XFOO=bar\n" + frame_payload(seq, k))
+        payloads = [frame_payload(seq, k) for k in range(3)]
+        with SourceFile(seq.path, seq) as source:
+            assert _y4m_stream(source, False) == b"".join(payloads)
+            assert _y4m_stream(source, True) == (
+                build_y4m_header(seq.width, seq.height, seq.fps_num, seq.fps_den)
+                + b"".join(b"FRAME\n" + p for p in payloads))
 
     def test_geometry_mismatch_fails_fast(self, tmp_path):
         actual = make_sequence(width=4, height=4, frame_count=2, path=tmp_path / "a.y4m")
@@ -195,17 +236,19 @@ class TestY4mReader:
             fh.write(build_y4m_header(seq.width, seq.height, 50, 2))
             for k in range(2):
                 fh.write(b"FRAME\n" + frame_payload(seq, k))
-        with open_frame_reader(seq.path, seq) as reader:
-            assert len(list(reader)) == 2
+        with SourceFile(seq.path, seq) as source:
+            assert len(list(source)) == 2
 
     def test_bad_frame_marker(self, tmp_path):
         seq = make_sequence(frame_count=2, path=tmp_path / "a.y4m")
         with open(seq.path, "wb") as fh:
             fh.write(build_y4m_header(seq.width, seq.height, seq.fps_num, seq.fps_den))
             fh.write(b"JUNK!\n" + frame_payload(seq, 0))
-        with open_frame_reader(seq.path, seq) as reader:
+        with SourceFile(seq.path, seq) as source:
             with pytest.raises(Y4mParseError, match="FRAME marker"):
-                reader.read_frame()
+                next(iter(source))
+            with pytest.raises(Y4mParseError, match="FRAME marker"):
+                next(source.spans())
 
     def test_truncated_payload(self, tmp_path):
         seq = make_sequence(frame_count=2, path=tmp_path / "a.y4m")
@@ -213,9 +256,9 @@ class TestY4mReader:
             fh.write(build_y4m_header(seq.width, seq.height, seq.fps_num, seq.fps_den))
             fh.write(b"FRAME\n" + frame_payload(seq, 0))
             fh.write(b"FRAME\n" + b"\0\0")
-        with open_frame_reader(seq.path, seq) as reader:
+        with SourceFile(seq.path, seq) as source:
             with pytest.raises(TruncationError) as err:
-                list(reader)
+                list(source)
         assert err.value.frames_read == 1
 
     def test_ends_early_truncation(self, tmp_path):
@@ -224,9 +267,9 @@ class TestY4mReader:
             fh.write(build_y4m_header(seq.width, seq.height, seq.fps_num, seq.fps_den))
             for k in range(3):
                 fh.write(b"FRAME\n" + frame_payload(seq, k))
-        with open_frame_reader(seq.path, seq) as reader:
+        with SourceFile(seq.path, seq) as source:
             with pytest.raises(TruncationError) as err:
-                list(reader)
+                list(source)
         assert err.value.frames_read == 3
 
 

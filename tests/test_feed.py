@@ -1,22 +1,27 @@
-"""What reaches a piped encoder's stdin: exact bytes, failure paths, pipe size."""
+"""What reaches a piped encoder's stdin, or ``pace``'s sink: exact bytes,
+failure paths, pipe size."""
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
+import io
 import os
 import random
 import signal
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from pacebench import harness
 from pacebench.dataset import build_y4m_header
 from pacebench.errors import ConfigError, TruncationError, Y4mParseError
+from pacebench.cli import dispatch
 from pacebench.harness import EncoderProfile, run_paced, run_unpaced
 
-from synthetic import make_sequence
+from synthetic import make_sequence, write_manifest
 
 # 160x120 frames are 28 800 bytes: several frames share one default pipe.
 # 320x240 frames (115 200 bytes) do not fit one, so writes to them block.
@@ -120,6 +125,76 @@ def test_raw_source_stops_at_declared_count(tmp_path):
     out = tmp_path / "stdin.bin"
     run_unpaced(_child_profile(COPY_STDIN, "stdin_raw"), seq, 800, output_path=out)
     assert out.read_bytes() == _expected_stream(seq, "stdin_raw")
+
+
+def _pace(tmp_path, seq, out: str) -> int:
+    return dispatch(["--manifest", str(write_manifest(tmp_path, [seq])), "pace",
+                     "--input", str(seq.path), "--seq", seq.short_name, "--out", out])
+
+
+@contextlib.contextmanager
+def _stdout_to(fd: int):
+    """sys.stdout, within the block, writing to the open descriptor ``fd``."""
+    stream = io.TextIOWrapper(open(fd, "wb", closefd=False))
+    with contextlib.redirect_stdout(stream):
+        yield
+    stream.flush()
+
+
+def _pace_into(tmp_path, seq, sink: str) -> bytes:
+    """Run ``pace`` into a file, a pipe or an O_APPEND stdout; what reached it."""
+    if sink == "file":
+        out = tmp_path / "out.bin"
+        assert _pace(tmp_path, seq, str(out)) == 0
+        return out.read_bytes()
+    if sink == "append":  # as with `pace --out - >> file`
+        out = tmp_path / "out.bin"
+        out.write_bytes(b"earlier\n")
+        fd = os.open(out, os.O_WRONLY | os.O_APPEND)
+        try:
+            with _stdout_to(fd):
+                assert _pace(tmp_path, seq, "-") == 0
+        finally:
+            os.close(fd)
+        data = out.read_bytes()
+        assert data.startswith(b"earlier\n")
+        return data[len(b"earlier\n"):]
+    read_end, write_end = os.pipe()
+    chunks = []
+    drain = threading.Thread(target=lambda: chunks.extend(iter(
+        lambda: os.read(read_end, 1 << 16), b"")))
+    drain.start()
+    try:
+        with _stdout_to(write_end):
+            assert _pace(tmp_path, seq, "-") == 0
+    finally:
+        os.close(write_end)
+        drain.join()
+        os.close(read_end)
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize("sink", ["file", "pipe", "append"])
+@pytest.mark.parametrize("suffix", [".yuv", ".y4m"])
+def test_pace_sends_exact_payloads(tmp_path, capsys, suffix, sink):
+    # 5 large frames are more than a default pipe holds, so pipe writes block
+    seq = make_sequence(fps_num=FPS, frame_count=5, path=tmp_path / ("src" + suffix),
+                        **LARGE)
+    _write_source(seq.path, seq, 6, markers=(b"FRAME\n", b"FRAME Ip\n"))
+    assert _pace_into(tmp_path, seq, sink) == _expected_stream(seq, "stdin_raw")
+    assert "frames sent:      5" in capsys.readouterr()[1 if sink != "file" else 0]
+
+
+@pytest.mark.parametrize("suffix", [".yuv", ".y4m"])
+def test_pace_truncated_source_exits_one(tmp_path, capsys, suffix):
+    seq = make_sequence(fps_num=FPS, frame_count=5, path=tmp_path / ("src" + suffix),
+                        **SMALL)
+    _write_source(seq.path, seq, 3, tail=b"FRAME\n" * (suffix == ".y4m") + b"\0" * 100)
+    out = tmp_path / "out.bin"
+    assert _pace(tmp_path, seq, str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: truncated-stream: SY25: truncated frame after 3 complete")
+    assert out.read_bytes() == b"".join(_payload(seq, k) for k in range(3))
 
 
 class TestFailurePaths:

@@ -1,4 +1,5 @@
 import json
+import re
 import os
 import random
 import statistics
@@ -421,6 +422,53 @@ class TestRecordPersistence:
         with pytest.raises(InvalidInputError, match=str(path)):
             load_run_record(path)
 
+    @staticmethod
+    def _paced_record_dict() -> dict:
+        return RunRecord("p", "s", 800.0, RunMode.PACED, 1.0, 2, 2.0, 1, 800.0, 0,
+                         pacing=PacingReport(2, 0.5, [0.0, 0.001], 0.25, 1.0)).to_dict()
+
+    @pytest.mark.parametrize("field,value", [
+        ("profile_name", 5), ("sequence_short_name", None), ("target_bitrate_kbps", "800"),
+        ("wall_time_s", True), ("throughput_fps", "x"), ("achieved_bitrate_kbps", "900"),
+        ("frames_in", 2.0), ("frames_in", True), ("output_size_bytes", "1"),
+        ("exit_status", False), ("pacing", []), ("pacing", "x"), ("pacing", 0),
+        ("pacing.frames_sent", 2.0), ("pacing.total_duration_s", "0.5"),
+        ("pacing.lateness_per_frame", "abc"), ("pacing.lateness_per_frame", {"0": 0.0}),
+        ("pacing.blocked_time_s", None), ("pacing.start_epoch", False),
+    ])
+    def test_field_of_wrong_type_is_named(self, tmp_path, field, value):
+        data = self._paced_record_dict()
+        owner, _, key = field.rpartition(".")
+        (data[owner] if owner else data)[key] = value
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(InvalidInputError,
+                           match=f"^{re.escape(str(path))}: malformed run record: "
+                                 f"{re.escape(field)} must be "):
+            load_run_record(path)
+
+    def test_every_bad_field_at_once_is_refused(self, tmp_path):
+        data = {**self._paced_record_dict(), "target_bitrate_kbps": "800",
+                "throughput_fps": "x", "achieved_bitrate_kbps": "900"}
+        data["pacing"]["lateness_per_frame"] = "abc"
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(InvalidInputError, match="target_bitrate_kbps must be a number"):
+            load_run_record(path)
+
+    def test_integral_numbers_and_absent_pacing_load(self, tmp_path):
+        data = self._paced_record_dict()
+        data.update(target_bitrate_kbps=800, wall_time_s=1, throughput_fps=2,
+                    achieved_bitrate_kbps=800)
+        data["pacing"].update(total_duration_s=1, blocked_time_s=0, start_epoch=5)
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(data))
+        record = load_run_record(path)
+        assert (record.target_bitrate_kbps, record.pacing.start_epoch) == (800, 5)
+        del data["pacing"]
+        path.write_text(json.dumps(data))
+        assert load_run_record(path).pacing is None
+
     def test_runs_csv_round_trip(self):
         record = RunRecord(
             "p", "s", 812.5, RunMode.UNPACED, 1.2345678901234567, 10,
@@ -474,6 +522,32 @@ class TestBenchmarkConfig:
     def test_bitrate_ladder_validation(self, tmp_path, bitrates):
         path = self._write(tmp_path, self._config_dict(tmp_path, bitrates_kbps=bitrates))
         with pytest.raises(ConfigError):
+            load_benchmark_config(path)
+
+    @pytest.mark.parametrize(
+        "ladder", ["[NaN, 1000]", "[500, Infinity]", "[1e400]", "[-Infinity, 800]"],
+        ids=["nan", "infinity", "overflow", "minus-infinity"],
+    )
+    def test_non_finite_bitrate_rejected(self, tmp_path, ladder):
+        text = json.dumps(self._config_dict(tmp_path, bitrates_kbps="LADDER"))
+        path = tmp_path / "config.json"
+        path.write_text(text.replace('"LADDER"', ladder))
+        with pytest.raises(ConfigError, match="bitrates_kbps must be finite"):
+            load_benchmark_config(path)
+
+    def test_bitrate_too_large_for_a_float_rejected(self, tmp_path):
+        text = json.dumps(self._config_dict(tmp_path, bitrates_kbps="LADDER"))
+        path = tmp_path / "config.json"
+        path.write_text(text.replace('"LADDER"', "[1" + "0" * 400 + "]"))
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            load_benchmark_config(path)
+
+    @pytest.mark.parametrize("name", [5, None, ["mock"], ""])
+    def test_profile_name_must_be_a_string(self, tmp_path, name):
+        data = self._config_dict(tmp_path)
+        data["profiles"][0]["name"] = name
+        path = self._write(tmp_path, data)
+        with pytest.raises(ConfigError, match="profile name must be a non-empty string"):
             load_benchmark_config(path)
 
     def test_duplicate_profile_names(self, tmp_path):

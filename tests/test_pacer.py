@@ -1,4 +1,5 @@
 import ctypes
+import errno
 import os
 import threading
 import time
@@ -19,6 +20,7 @@ from pacebench.pacer import (
     buffer_latency,
     frame_interval,
     run_paced,
+    write_all,
 )
 
 
@@ -299,3 +301,38 @@ class TestTimerSlack:
         assert len(report.lateness_per_frame) == 10
         assert sink.slacks == [START_SLACK_NS] * 10
         assert thread_slack_ns() == START_SLACK_NS
+
+
+class TestWriteAll:
+    DATA = bytes(range(256)) * 64
+
+    def _source(self, tmp_path):
+        path = tmp_path / "src.bin"
+        path.write_bytes(self.DATA)
+        return open(path, "rb")
+
+    def test_append_sink_gets_the_spans_in_order(self, tmp_path):
+        # sendfile refuses an O_APPEND descriptor with EINVAL; the span is still sent
+        out = tmp_path / "out.bin"
+        out.write_bytes(b"head")
+        with self._source(tmp_path) as src, open(out, "ab") as sink:
+            write_all(sink, FileSpan(src.fileno(), 100, 9000, b"FRAME\n", 0))
+            write_all(sink, b"raw")
+            write_all(sink, FileSpan(src.fileno(), 0, 10, b"", 1))
+            assert out.read_bytes() == (b"head" + b"FRAME\n" + self.DATA[100:9100] + b"raw"
+                                        + self.DATA[:10])
+
+    def test_append_sink_short_source_is_truncation(self, tmp_path):
+        with self._source(tmp_path) as src, open(tmp_path / "out.bin", "ab") as sink:
+            span = FileSpan(src.fileno(), len(self.DATA) - 5, 10, b"", 3)
+            with pytest.raises(TruncationError, match="5 of 10 bytes") as err:
+                write_all(sink, span)
+        assert err.value.frames_read == 3
+        assert (tmp_path / "out.bin").read_bytes() == self.DATA[-5:]
+
+    def test_other_sendfile_errors_propagate(self, tmp_path):
+        (tmp_path / "out.bin").write_bytes(b"")
+        with self._source(tmp_path) as src, open(tmp_path / "out.bin", "rb") as sink:
+            with pytest.raises(OSError) as err:
+                write_all(sink, FileSpan(src.fileno(), 0, 10, b"", 0))
+        assert err.value.errno == errno.EBADF
