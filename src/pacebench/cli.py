@@ -26,7 +26,7 @@ from .curves import load_curve_csv, save_curve_csv
 from .errors import ComputationError, ConfigError, PacebenchError
 from .framerate import parse_fps
 from .harness import QUALITY_SUFFIX, RECORD_SUFFIX, RunMode, RunRecord
-from .ioutil import atomic_write_text
+from .ioutil import DigestCache, atomic_write_text
 
 log = logging.getLogger("pacebench")
 
@@ -229,54 +229,93 @@ def cmd_bd(args) -> int:
 
 
 def _select_runs(
-    records: list[tuple[Path, RunRecord]],
+    records: list[tuple[str, RunRecord]],
     mode: RunMode | None,
-) -> list[tuple[Path, RunRecord]]:
+) -> list[tuple[str, RunRecord]]:
     """One record per (profile, seq, target bitrate): requested mode, else
-    unpaced before paced, first repetition first. *records* come sorted by
-    file name."""
-    chosen: dict[tuple[str, str, float], tuple[Path, RunRecord]] = {}
+    unpaced before paced, first repetition first. *records* are (file name,
+    record) pairs sorted by file name."""
+    chosen: dict[tuple[str, str, float], tuple[str, RunRecord]] = {}
 
     def priority(record: RunRecord) -> int:
         return 0 if record.mode is RunMode.UNPACED else 1
 
-    for path, record in records:
+    for name, record in records:
         if mode is not None and record.mode is not mode:
             continue
         key = (record.profile_name, record.sequence_short_name, record.target_bitrate_kbps)
         if key not in chosen or priority(record) < priority(chosen[key][1]):
-            chosen[key] = (path, record)
+            chosen[key] = (name, record)
     return list(chosen.values())
+
+
+REPORT_CACHE_NAME = "report.cache"
+# Bump whenever an entry's layout, or what load_run_record or
+# parse_metric_report accepts, changes: an entry made under the old rules
+# must not be reused under the new ones.
+_REPORT_CACHE_VERSION = 1
+
+
+def _record_entry(record: RunRecord) -> dict:
+    """A run record's cache entry: its scalar fields. The report never reads
+    ``pacing``, so the records it holds have none, cached or not."""
+    entry = record.to_dict()
+    del entry["pacing"]
+    return entry
+
+
+def _score_entry(report: quality.QualityReport) -> list:
+    return [report.metric_name, report.pooled_score]
+
+
+def _score_from_entry(entry) -> quality.QualityReport:
+    metric, pooled = entry
+    return quality.QualityReport(metric, pooled)
+
+
+def _list_runs(runs_dir: Path) -> tuple[list[str], set[str]]:
+    """Sorted run record names and the set of quality log names in *runs_dir*."""
+    record_names, quality_names = [], set()
+    try:
+        with os.scandir(runs_dir) as entries:
+            for entry in entries:
+                name = entry.name
+                if name.endswith(QUALITY_SUFFIX):
+                    quality_names.add(name)
+                elif name.endswith(RECORD_SUFFIX):
+                    record_names.append(name)
+    except (FileNotFoundError, NotADirectoryError):
+        pass  # no records: reported below as for an empty directory
+    record_names.sort()
+    return record_names, quality_names
 
 
 def cmd_report(args) -> int:
     from . import report as report_mod
     sequences = _require_manifest(args)
     runs_dir: Path = args.runs
-    record_paths, quality_names = [], set()
-    for p in runs_dir.glob(f"*{RECORD_SUFFIX}"):
-        if p.name.endswith(QUALITY_SUFFIX):
-            quality_names.add(p.name)
-        else:
-            record_paths.append(p)
-    record_paths.sort(key=lambda p: p.name)
-    if not record_paths:
+    record_names, quality_names = _list_runs(runs_dir)
+    if not record_names:
         raise ConfigError(f"no run records found under {runs_dir}")
-    all_records = [(p, harness.load_run_record(p)) for p in record_paths]
+    cache = DigestCache(runs_dir, REPORT_CACHE_NAME, _REPORT_CACHE_VERSION,
+                        quality_names.union(record_names))
+    records, records_parsed = cache.load_all(record_names, harness.load_run_record,
+                                             _record_entry, RunRecord.from_dict)
+    all_records = list(zip(record_names, records))
 
     mode = RunMode(args.mode) if args.mode else None
     selected = _select_runs(all_records, mode)
 
     scored: list[tuple[RunRecord, str]] = []
-    for path, record in selected:
-        quality_name = path.name[: -len(RECORD_SUFFIX)] + QUALITY_SUFFIX
+    for name, record in selected:
+        quality_name = name[: -len(RECORD_SUFFIX)] + QUALITY_SUFFIX
         if quality_name not in quality_names:
-            log.warning("no quality report for %s; skipping", path.name)
+            log.warning("no quality report for %s; skipping", name)
             continue
         scored.append((record, quality_name))
-    reports, parsed, save_scores = quality.pooled_scores(
-        runs_dir, [name for _, name in scored], quality_names
-    )
+    reports, logs_parsed = cache.load_all([name for _, name in scored],
+                                          quality.parse_metric_report,
+                                          _score_entry, _score_from_entry)
 
     curves: dict[str, dict[str, object]] = {}
     pairs_by_profile_seq: dict[tuple[str, str], list] = {}
@@ -301,16 +340,15 @@ def cmd_report(args) -> int:
     document = report_mod.render(matrix, args.format)
     atomic_write_text(args.out, document)
 
-    throughput_csv = report_mod.throughput_summary_csv(
-        [record for _, record in all_records], row_sequences
-    )
+    throughput_csv = report_mod.throughput_summary_csv(records, row_sequences)
     atomic_write_text(runs_dir / "throughput.csv", throughput_csv)
-    save_scores()
+    cache.save()
 
     print(f"wrote {args.out}")
     print(f"wrote {runs_dir / 'throughput.csv'} and {len(curves)} profile curve set(s) "
-          f"under {curves_dir}; {parsed} quality log(s) parsed, "
-          f"{len(reports) - parsed} reused from {quality.SCORE_CACHE_NAME}")
+          f"under {curves_dir}; {records_parsed} run record(s) parsed, "
+          f"{len(records) - records_parsed} reused; {logs_parsed} quality log(s) parsed, "
+          f"{len(reports) - logs_parsed} reused from {REPORT_CACHE_NAME}")
     return EXIT_OK
 
 

@@ -220,6 +220,8 @@ _RECORD_FIELDS = {
     "wall_time_s": JSON_NUMBER, "frames_in": (int,), "throughput_fps": JSON_NUMBER,
     "output_size_bytes": (int,), "achieved_bitrate_kbps": JSON_NUMBER, "exit_status": (int,),
 }
+_NON_NEGATIVE_RECORD_FIELDS = ("wall_time_s", "frames_in", "throughput_fps", "output_size_bytes",
+                               "achieved_bitrate_kbps")
 
 
 @dataclass(frozen=True)
@@ -255,8 +257,18 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunRecord":
-        """A record from its JSON form; a bad field raises KeyError, TypeError or ValueError."""
+        """A record from its JSON form; a bad field raises KeyError, TypeError or ValueError.
+
+        Numbers must be finite, the target bitrate positive, and the measured
+        quantities not negative.
+        """
         fields = typed_fields(data, _RECORD_FIELDS)
+        for key in _NON_NEGATIVE_RECORD_FIELDS:
+            if fields[key] < 0:
+                raise ValueError(f"{key} must not be negative, got {fields[key]!r}")
+        if fields["target_bitrate_kbps"] <= 0:
+            raise ValueError(f"target_bitrate_kbps must be positive, "
+                             f"got {fields['target_bitrate_kbps']!r}")
         pacing = data.get("pacing")
         if pacing is not None and type(pacing) is not dict:
             raise TypeError(f"pacing must be an object or null, got {pacing!r:.40}")
@@ -354,13 +366,11 @@ def _run(profile, seq, bitrate_kbps, mode, source_path, output_path) -> RunRecor
         if output_path is not None:
             return _run_spawned(profile, seq, bitrate_kbps, mode, source, source_file,
                                 Path(output_path))
-        fd, temp_output = tempfile.mkstemp(suffix=OUTPUT_SUFFIX, prefix="pacebench-")
-        os.close(fd)
-        try:
+        # a path that does not exist yet, as with a campaign's output path, so
+        # that an encoder that never writes its output fails the same way
+        with tempfile.TemporaryDirectory(prefix="pacebench-") as scratch:
             return _run_spawned(profile, seq, bitrate_kbps, mode, source, source_file,
-                                Path(temp_output))
-        finally:
-            _unlink_quietly(temp_output)
+                                Path(scratch) / ("output" + OUTPUT_SUFFIX))
 
 
 def _stderr_tail(stderr) -> str:
@@ -481,13 +491,6 @@ def _run_spawned(profile, seq, bitrate_kbps, mode, source, source_file,
     return record
 
 
-def _unlink_quietly(path) -> None:
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
-
-
 @dataclass(frozen=True)
 class BenchmarkConfig:
     """One benchmark campaign: profiles x sequences x bitrates x modes."""
@@ -588,9 +591,13 @@ def save_run_record(record: RunRecord, path: str | Path) -> None:
     atomic_write_text(path, json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def load_run_record(path: str | Path) -> RunRecord:
-    """Read a saved run record; a file that is not one raises InvalidInputError."""
-    data = load_json(path, InvalidInputError, dict)
+def load_run_record(path: str | Path, data: bytes | None = None) -> RunRecord:
+    """Read a saved run record; a file that is not one raises InvalidInputError.
+
+    *data*, when given, is the record's content already read from *path*,
+    which then only names the record in errors.
+    """
+    data = load_json(path, InvalidInputError, dict, data=data)
     try:
         return RunRecord.from_dict(data)
     except KeyError as exc:

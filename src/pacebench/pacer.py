@@ -117,7 +117,8 @@ class PacingReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PacingReport":
-        """A run record's ``pacing`` object; the lateness values are not checked."""
+        """A run record's ``pacing`` object. Its numbers must be finite; the
+        lateness values are not checked."""
         return cls(**typed_fields(data, _REPORT_FIELDS, "pacing."))
 
 

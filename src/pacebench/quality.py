@@ -6,43 +6,36 @@ written by an external tool, either in the native schema
 common external log layout (``pooled_metrics`` / per-frame ``metrics``
 objects), which an adapter normalizes.
 
-``pooled_scores`` is how ``pacebench report`` reads a campaign's logs. It
-keeps each validated pooled score in ``<runs>/quality-scores.cache``, keyed
-by the BLAKE2b digest of the log's bytes, and parses a log again only when
-its bytes differ from the ones it validated. Deleting the file resets it.
+``pacebench report`` parses a log only when its bytes are not those of the
+log it scored last time: it keeps each pooled score, as ``[metric, pooled]``,
+in ``<runs>/report.cache`` beside the run records it loaded (see
+``cli.cmd_report`` and ``ioutil.DigestCache``), and a reused score is
+checked again by ``QualityReport``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Collection, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .curves import RateQualityCurve
 from .errors import (
-    ComputationError,
     DuplicatePointError,
     InsufficientDataError,
-    InvalidInputError,
     MetricSchemaError,
     ScoreRangeError,
 )
 from .harness import RunRecord
-from .ioutil import atomic_write_text, load_json
+from .ioutil import load_json
 
 SCORE_MIN = 0.0
 SCORE_MAX = 100.0
 _POOLED_MEAN_TOLERANCE = 1e-6
 DUPLICATE_RATE_KBPS = 0.5
-
-SCORE_CACHE_NAME = "quality-scores.cache"
-# Bump whenever what parse_metric_report accepts or returns changes: a score
-# it validated under the old rules must not be reused under the new ones.
-_SCORE_CACHE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -59,6 +52,8 @@ class QualityReport:
     per_frame_scores: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.metric_name, str):
+            raise MetricSchemaError(f"metric name must be a string, got {self.metric_name!r}")
         mean = None
         if self.per_frame_scores is not None:
             for score in self.per_frame_scores:
@@ -141,71 +136,6 @@ def parse_metric_report(path: str | Path, data: bytes | None = None) -> QualityR
         pooled_score=pooled,
         per_frame_scores=tuple(frames) if frames is not None else None,
     )
-
-
-def pooled_scores(
-    runs_dir: Path, names: Sequence[str], listed: Collection[str]
-) -> tuple[list[QualityReport], int, Callable[[], None]]:
-    """Pooled score of each quality log in *names*, in order, how many of
-    them were parsed, and a function that saves the cache.
-
-    A log whose bytes have the digest recorded in ``<runs_dir>/quality-scores.cache``
-    reuses the score stored with it; every other log goes through
-    parse_metric_report and all its checks, so the first bad log raises as
-    it would without the cache, and is never cached. A missing, unreadable
-    or outdated file counts as empty. Entries of logs that are not in
-    *listed* (the directory's quality logs) are dropped. The caller saves
-    once its report has succeeded; the file is rewritten only when an entry
-    was added, changed or dropped.
-    """
-    # imported here: at module level, loading OpenSSL would add about 3 ms
-    # and 3.5 MB to every `import pacebench.cli`
-    import hashlib
-
-    cache_path = runs_dir / SCORE_CACHE_NAME
-    cached = _read_score_cache(cache_path)
-    entries = {name: entry for name, entry in cached.items() if name in listed}
-    reports, parsed = [], 0
-    for name in names:
-        path = runs_dir / name
-        data = path.read_bytes()
-        digest = hashlib.blake2b(data, digest_size=16).hexdigest()
-        report = _cached_report(entries.get(name), digest)
-        if report is None:
-            full = parse_metric_report(path, data=data)
-            report = QualityReport(full.metric_name, full.pooled_score)
-            entries[name] = [digest, report.metric_name, report.pooled_score]
-            parsed += 1
-        reports.append(report)
-
-    def save() -> None:
-        if entries != cached:
-            cache = {"version": _SCORE_CACHE_VERSION, "scores": entries}
-            atomic_write_text(cache_path, json.dumps(cache, sort_keys=True) + "\n")
-
-    return reports, parsed, save
-
-
-def _read_score_cache(path: Path) -> dict:
-    try:
-        cache = load_json(path, InvalidInputError, dict)
-    except (OSError, InvalidInputError):
-        return {}
-    if cache.get("version") != _SCORE_CACHE_VERSION or not isinstance(cache.get("scores"), dict):
-        return {}
-    return cache["scores"]
-
-
-def _cached_report(entry, digest: str) -> QualityReport | None:
-    """The entry's score if it was stored for these bytes and still passes
-    QualityReport's checks, else None."""
-    if not (isinstance(entry, list) and len(entry) == 3 and entry[0] == digest
-            and isinstance(entry[1], str)):
-        return None
-    try:
-        return QualityReport(entry[1], entry[2])
-    except ComputationError:
-        return None
 
 
 class MosLabel(str, Enum):

@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import os
+import signal
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -8,11 +11,11 @@ import numpy as np
 import pytest
 
 import pacebench
-from pacebench import cli, errors, quality
+from pacebench import cli, errors, harness, quality
 from pacebench.cli import _percentile, dispatch
 from pacebench.curves import RateQualityCurve, save_curve_csv
 from pacebench.harness import RunMode, RunRecord, load_run_record, save_run_record
-from pacebench.ioutil import atomic_write_text
+from pacebench.ioutil import atomic_write_bytes, atomic_write_text
 
 from synthetic import make_sequence, mock_profile, write_manifest, write_raw_source
 
@@ -347,18 +350,29 @@ def _report(manifest, runs, out, kind="rate", fmt="md"):
     return dispatch(_report_argv(manifest, runs, out, kind, fmt))
 
 
-@pytest.fixture
-def parse_calls(monkeypatch):
-    """Names of the quality logs parse_metric_report was called on."""
+def _counting(monkeypatch, module, name):
+    """Names of the files module.name is called on, with the call passed through."""
     calls = []
-    original = quality.parse_metric_report
+    original = getattr(module, name)
 
     def counting(path, *args, **kwargs):
         calls.append(Path(path).name)
         return original(path, *args, **kwargs)
 
-    monkeypatch.setattr(quality, "parse_metric_report", counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """Names of the quality logs parse_metric_report was called on."""
+    return _counting(monkeypatch, quality, "parse_metric_report")
+
+
+@pytest.fixture
+def load_calls(monkeypatch):
+    """Names of the run records load_run_record was called on."""
+    return _counting(monkeypatch, harness, "load_run_record")
 
 
 def _stat(path):
@@ -366,35 +380,74 @@ def _stat(path):
     return st.st_ino, st.st_mtime_ns
 
 
-class TestReportScoreCache:
-    LOGS = 6  # one log per (profile, rung): unpaced runs are selected
+def _outputs(runs, *documents):
+    """Every file a report writes: the documents, throughput.csv and the curve CSVs."""
+    return [*documents, runs / "throughput.csv", *sorted((runs / "curves").glob("*.csv"))]
 
-    def test_second_report_parses_no_log(self, tmp_path, capsys, parse_calls):
+
+class _Uncached:
+    """A report cache that holds nothing: every record and log is loaded in full,
+    as the report did before it had a cache."""
+
+    def __init__(self, directory, *args):
+        self.directory = Path(directory)
+
+    def load_all(self, names, parse, to_entry, from_entry):
+        return [parse(self.directory / name) for name in names], len(names)
+
+    def save(self):
+        pass
+
+
+class TestReportScoreCache:
+    """``<runs>/report.cache``: run records and quality logs reused by the digest of their bytes."""
+
+    LOGS = 6  # one log per (profile, rung): unpaced runs are selected
+    RECORDS = 12
+
+    def test_second_report_parses_no_log(self, tmp_path, capsys, parse_calls, load_calls):
         manifest, runs = _write_report_campaign(tmp_path)
         assert _report(manifest, runs, tmp_path / "m.md") == 0
-        assert len(parse_calls) == self.LOGS
-        assert "6 quality log(s) parsed, 0 reused" in capsys.readouterr().out
+        assert len(parse_calls) == self.LOGS and len(load_calls) == self.RECORDS
+        out = capsys.readouterr().out
+        assert "12 run record(s) parsed, 0 reused; 6 quality log(s) parsed, 0 reused" in out
         parse_calls.clear()
+        load_calls.clear()
         assert _report(manifest, runs, tmp_path / "m.md") == 0
-        assert parse_calls == []
-        assert "0 quality log(s) parsed, 6 reused" in capsys.readouterr().out
+        assert parse_calls == [] and load_calls == []
+        out = capsys.readouterr().out
+        assert "0 run record(s) parsed, 12 reused; 0 quality log(s) parsed, 6 reused" in out
 
-    def test_rewritten_log_alone_is_parsed_again(self, tmp_path, parse_calls):
+    def test_rewritten_log_alone_is_parsed_again(self, tmp_path, parse_calls, load_calls):
         manifest, runs = _write_report_campaign(tmp_path)
         assert _report(manifest, runs, tmp_path / "m.md") == 0
         name = "b__SY25__1600__unpaced__rep0.quality.json"
         _write_log(runs / name, {"metric": "vmaf", "pooled": 61.0})
         parse_calls.clear()
+        load_calls.clear()
         assert _report(manifest, runs, tmp_path / "m.md") == 0
-        assert parse_calls == [name]
+        assert parse_calls == [name] and load_calls == []
 
-    def test_deleting_the_cache_parses_every_log_again(self, tmp_path, parse_calls):
+    def test_rewritten_record_alone_is_loaded_again(self, tmp_path, parse_calls, load_calls):
         manifest, runs = _write_report_campaign(tmp_path)
         assert _report(manifest, runs, tmp_path / "m.md") == 0
-        (runs / quality.SCORE_CACHE_NAME).unlink()
+        name = "a__SY25__1600__paced__rep0.json"
+        record = load_run_record(runs / name)
+        save_run_record(dataclasses.replace(record, throughput_fps=55.0), runs / name)
         parse_calls.clear()
+        load_calls.clear()
         assert _report(manifest, runs, tmp_path / "m.md") == 0
-        assert len(parse_calls) == self.LOGS
+        assert load_calls == [name] and parse_calls == []
+        assert ",55.0," in (runs / "throughput.csv").read_text()
+
+    def test_deleting_the_cache_parses_every_log_again(self, tmp_path, parse_calls, load_calls):
+        manifest, runs = _write_report_campaign(tmp_path)
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        (runs / cli.REPORT_CACHE_NAME).unlink()
+        parse_calls.clear()
+        load_calls.clear()
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        assert len(parse_calls) == self.LOGS and len(load_calls) == self.RECORDS
 
     @pytest.mark.parametrize("corrupt", [
         lambda cache: b"\xff{not json",
@@ -402,52 +455,103 @@ class TestReportScoreCache:
         lambda cache: b"{not json",
         lambda cache: b"[" * 200_000,
         lambda cache: json.dumps({**cache, "version": cache["version"] + 1}).encode(),
-        lambda cache: json.dumps({**cache, "scores": []}).encode(),
+        lambda cache: json.dumps({**cache, "entries": []}).encode(),
     ], ids=["garbage", "not-an-object", "not-json", "nested", "other-version",
-            "scores-not-an-object"])
-    def test_bad_cache_is_ignored_and_rewritten(self, tmp_path, parse_calls, corrupt):
+            "entries-not-an-object"])
+    def test_bad_cache_is_ignored_and_rewritten(self, tmp_path, parse_calls, load_calls,
+                                                corrupt):
         manifest, runs = _write_report_campaign(tmp_path)
         assert _report(manifest, runs, tmp_path / "m.md") == 0
-        cache = runs / quality.SCORE_CACHE_NAME
+        cache = runs / cli.REPORT_CACHE_NAME
         cache.write_bytes(corrupt(json.loads(cache.read_text())))
         parse_calls.clear()
+        load_calls.clear()
         assert _report(manifest, runs, tmp_path / "m.md") == 0
-        assert len(parse_calls) == self.LOGS
+        assert len(parse_calls) == self.LOGS and len(load_calls) == self.RECORDS
         parse_calls.clear()
+        load_calls.clear()
         assert _report(manifest, runs, tmp_path / "m.md") == 0
-        assert parse_calls == []
+        assert parse_calls == [] and load_calls == []
 
     @pytest.mark.parametrize("entry", [
-        ["0" * 32, "vmaf", 50.0], ["DIGEST", "vmaf", 150.0], ["DIGEST", "vmaf", None],
-        ["DIGEST", 7, 50.0], ["DIGEST", "vmaf"], "DIGEST",
+        ["0" * 64, ["vmaf", 50.0]], ["DIGEST", ["vmaf", 150.0]], ["DIGEST", ["vmaf", None]],
+        ["DIGEST", [7, 50.0]], ["DIGEST", ["vmaf"]], "DIGEST",
     ])
     def test_entry_failing_its_checks_is_parsed_again(self, tmp_path, parse_calls, entry):
         manifest, runs = _write_report_campaign(tmp_path)
         assert _report(manifest, runs, tmp_path / "m.md") == 0
-        cache_path = runs / quality.SCORE_CACHE_NAME
+        cache_path = runs / cli.REPORT_CACHE_NAME
         cache = json.loads(cache_path.read_text())
         name = "a__SY25__800__unpaced__rep0.quality.json"
-        digest = cache["scores"][name][0]
-        cache["scores"][name] = (entry.replace("DIGEST", digest) if isinstance(entry, str)
-                                 else [digest if e == "DIGEST" else e for e in entry])
+        digest = cache["entries"][name][0]
+        cache["entries"][name] = (entry.replace("DIGEST", digest) if isinstance(entry, str)
+                                  else [digest if e == "DIGEST" else e for e in entry])
         cache_path.write_text(json.dumps(cache))
         parse_calls.clear()
         assert _report(manifest, runs, tmp_path / "m.md") == 0
         assert parse_calls == [name]
-        assert json.loads(cache_path.read_text())["scores"][name] == [digest, "vmaf", 40.0]
+        assert json.loads(cache_path.read_text())["entries"][name] == [digest, ["vmaf", 40.0]]
+
+    @pytest.mark.parametrize("spoil", [
+        lambda digest, entry: ["0" * 64, entry],
+        lambda digest, entry: [digest, {**entry, "achieved_bitrate_kbps": -1.0}],
+        lambda digest, entry: [digest, {**entry, "throughput_fps": "x"}],
+        lambda digest, entry: [digest, {**entry, "mode": "sideways"}],
+        lambda digest, entry: [digest, {k: v for k, v in entry.items() if k != "wall_time_s"}],
+        lambda digest, entry: [digest, [1, 2]],
+    ], ids=["other-digest", "negative", "wrong-type", "bad-mode", "missing", "not-an-object"])
+    def test_record_entry_failing_its_checks_is_loaded_again(self, tmp_path, load_calls,
+                                                             spoil):
+        manifest, runs = _write_report_campaign(tmp_path)
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        cache_path = runs / cli.REPORT_CACHE_NAME
+        cache = json.loads(cache_path.read_text())
+        name = "b__SY25__800__paced__rep0.json"
+        good = cache["entries"][name]
+        cache["entries"][name] = spoil(*good)
+        cache_path.write_text(json.dumps(cache))
+        load_calls.clear()
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        assert load_calls == [name]
+        assert json.loads(cache_path.read_text())["entries"][name] == good
+
+    def test_record_corrupted_after_caching_exits_one_naming_it(self, tmp_path, capsys):
+        manifest, runs = _write_report_campaign(tmp_path)
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        cache = runs / cli.REPORT_CACHE_NAME
+        before = cache.read_bytes()
+        bad = runs / "b__SY25__3200__unpaced__rep0.json"
+        bad.write_bytes(bad.read_bytes()[:-20])
+        capsys.readouterr()
+        assert _report(manifest, runs, tmp_path / "m.md") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid-input: {bad}: ") and err.count("\n") == 1
+        assert cache.read_bytes() == before
 
     def test_entry_of_a_deleted_log_is_pruned(self, tmp_path, parse_calls):
         manifest, runs = _write_report_campaign(tmp_path)
         assert _report(manifest, runs, tmp_path / "m.md") == 0
-        cache = runs / quality.SCORE_CACHE_NAME
+        cache = runs / cli.REPORT_CACHE_NAME
         gone = "b__SY25__3200__unpaced__rep0.quality.json"
-        assert gone in json.loads(cache.read_text())["scores"]
+        assert gone in json.loads(cache.read_text())["entries"]
         (runs / gone).unlink()
         parse_calls.clear()
         assert _report(manifest, runs, tmp_path / "m.md") == 0
         assert parse_calls == []
-        scores = json.loads(cache.read_text())["scores"]
-        assert gone not in scores and len(scores) == self.LOGS - 1
+        entries = json.loads(cache.read_text())["entries"]
+        assert gone not in entries and len(entries) == self.RECORDS + self.LOGS - 1
+
+    def test_entry_of_a_deleted_record_is_pruned(self, tmp_path, load_calls):
+        manifest, runs = _write_report_campaign(tmp_path)
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        cache = runs / cli.REPORT_CACHE_NAME
+        gone = "b__SY25__3200__paced__rep0.json"
+        (runs / gone).unlink()
+        load_calls.clear()
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        assert load_calls == []
+        entries = json.loads(cache.read_text())["entries"]
+        assert gone not in entries and len(entries) == self.RECORDS - 1 + self.LOGS
 
     def test_logs_of_unselected_runs_stay_cached(self, tmp_path, parse_calls):
         manifest, runs = _write_report_campaign(tmp_path)
@@ -463,7 +567,7 @@ class TestReportScoreCache:
     def test_invalid_log_is_not_cached_and_fails_again(self, tmp_path, capsys, parse_calls):
         manifest, runs = _write_report_campaign(tmp_path)
         assert _report(manifest, runs, tmp_path / "m.md") == 0
-        cache = runs / quality.SCORE_CACHE_NAME
+        cache = runs / cli.REPORT_CACHE_NAME
         before = cache.read_bytes(), _stat(cache)
         bad = "a__SY25__1600__unpaced__rep0.quality.json"
         _write_log(runs / bad, {"pooled_metrics": {"vmaf": {"mean": 70.0}},
@@ -480,7 +584,7 @@ class TestReportScoreCache:
         manifest, runs = _write_report_campaign(tmp_path)
         (runs / "b__SY25__800__unpaced__rep0.quality.json").write_bytes(b"\xff")
         assert _report(manifest, runs, tmp_path / "m.md") == 1
-        assert not (runs / quality.SCORE_CACHE_NAME).exists()
+        assert not (runs / cli.REPORT_CACHE_NAME).exists()
 
     def test_report_failing_after_scoring_writes_no_cache(self, tmp_path, capsys):
         manifest, runs = _write_report_campaign(tmp_path)
@@ -488,16 +592,37 @@ class TestReportScoreCache:
                          "--anchor", "ghost", "--kind", "rate", "--format", "md",
                          "--out", str(tmp_path / "m.md")])
         assert code != 0
-        assert not (runs / quality.SCORE_CACHE_NAME).exists()
+        assert not (runs / cli.REPORT_CACHE_NAME).exists()
 
     def test_warm_report_does_not_rewrite_the_cache(self, tmp_path):
         manifest, runs = _write_report_campaign(tmp_path)
         assert _report(manifest, runs, tmp_path / "m.md") == 0
-        cache = runs / quality.SCORE_CACHE_NAME
+        cache = runs / cli.REPORT_CACHE_NAME
         before = _stat(cache)
         for kind, fmt in (("rate", "md"), ("quality", "csv")):
             assert _report(manifest, runs, tmp_path / f"m.{fmt}", kind, fmt) == 0
         assert _stat(cache) == before
+
+    def test_warm_report_rewrites_no_output(self, tmp_path):
+        manifest, runs = _write_report_campaign(tmp_path)
+        out = tmp_path / "m.md"
+        assert _report(manifest, runs, out) == 0
+        outputs = _outputs(runs, out)
+        assert len(outputs) == 4  # the document, throughput.csv and two curves
+        before = [_stat(path) for path in outputs]
+        assert _report(manifest, runs, out) == 0
+        assert [_stat(path) for path in outputs] == before
+
+    def test_changed_document_is_replaced(self, tmp_path):
+        manifest, runs = _write_report_campaign(tmp_path)
+        out = tmp_path / "m.md"
+        assert _report(manifest, runs, out) == 0
+        rate_md = out.read_bytes()
+        assert _report(manifest, runs, out, "quality", "md") == 0
+        assert out.read_bytes() != rate_md
+        before = _stat(out)
+        assert _report(manifest, runs, out, "rate", "md") == 0
+        assert out.read_bytes() == rate_md and _stat(out) != before
 
     @pytest.mark.parametrize("kind", ["rate", "quality"])
     @pytest.mark.parametrize("fmt", ["md", "csv"])
@@ -509,20 +634,16 @@ class TestReportScoreCache:
         def documents(name):
             out = tmp_path / f"{name}.{fmt}"
             assert _report(manifest, runs, out, kind, fmt) == 0
-            return out.read_bytes(), (runs / "throughput.csv").read_bytes()
+            return [path.read_bytes() for path in _outputs(runs, out)]
 
         outputs.append(documents("cold"))
         outputs.append(documents("warm"))
-        # the reading without a cache: every log parsed, as the report did before it had one
-
-        def uncached(runs_dir, names, listed):
-            reports = [quality.parse_metric_report(runs_dir / n) for n in names]
-            return reports, len(names), lambda: None
-
-        monkeypatch.setattr(quality, "pooled_scores", uncached)
+        cache = (runs / cli.REPORT_CACHE_NAME).read_bytes()
+        monkeypatch.setattr(cli, "DigestCache", _Uncached)
         outputs.append(documents("uncached"))
         assert outputs[0] == outputs[1] == outputs[2]
         assert outputs[0][0].strip()
+        assert (runs / cli.REPORT_CACHE_NAME).read_bytes() == cache
 
 
 class TestMalformedReportInputs:
@@ -560,6 +681,41 @@ class TestMalformedReportInputs:
         assert err.startswith(f"error: invalid-input: {bad}: malformed run record: "
                               f"{field} must be ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("field,value", [
+        ("achieved_bitrate_kbps", float("nan")), ("achieved_bitrate_kbps", float("inf")),
+        ("achieved_bitrate_kbps", -1), ("target_bitrate_kbps", 0),
+        ("pacing.blocked_time_s", float("-inf")),
+    ], ids=["nan", "infinity", "negative", "zero-target", "pacing-infinity"])
+    def test_record_number_out_of_range_exits_one_naming_it(self, tmp_path, capsys,
+                                                            field, value):
+        manifest, runs = _write_report_campaign(tmp_path)
+        bad = runs / "b__SY25__800__paced__rep0.json"
+        data = json.loads(bad.read_text())
+        if field.startswith("pacing."):
+            data["pacing"] = {"frames_sent": 4, "total_duration_s": 0.1,
+                              "lateness_per_frame": [0.0] * 4, "blocked_time_s": value,
+                              "start_epoch": 0.0}
+        else:
+            data[field] = value
+        bad.write_text(json.dumps(data))
+        assert _report(manifest, runs, tmp_path / "m.md") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid-input: {bad}: malformed run record: "
+                              f"{field} must ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("runs_dir", ["missing", "a-file", "empty"])
+    def test_runs_without_records_exits_two(self, tmp_path, capsys, runs_dir):
+        manifest, _ = _write_report_campaign(tmp_path)
+        runs = tmp_path / runs_dir
+        if runs_dir == "a-file":
+            runs.write_text("{}")
+        elif runs_dir == "empty":
+            runs.mkdir()
+        assert _report(manifest, runs, tmp_path / "m.md") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config: no run records found under {runs}\n"
 
     def test_quality_log_that_is_not_utf8_exits_one(self, tmp_path, capsys):
         manifest, runs = _write_report_campaign(tmp_path)
@@ -643,10 +799,54 @@ class TestAtomicWrites:
         atomic_write_text(target, "x")
         assert target.read_text() == "x"
 
+    def test_same_bytes_keep_the_inode(self, tmp_path):
+        target = tmp_path / "doc.md"
+        atomic_write_bytes(target, b"same")
+        before = _stat(target)
+        atomic_write_bytes(target, b"same")
+        assert _stat(target) == before and target.read_bytes() == b"same"
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.md"]
+
+    def test_same_size_other_bytes_is_replaced(self, tmp_path):
+        target = tmp_path / "doc.md"
+        atomic_write_bytes(target, b"abcd")
+        before = _stat(target)
+        atomic_write_bytes(target, b"abce")
+        assert target.read_bytes() == b"abce" and _stat(target) != before
+
+    @pytest.mark.parametrize("data", [b"", b"x"])
+    def test_fifo_is_replaced_not_read(self, tmp_path, data):
+        target = tmp_path / "doc.md"
+        os.mkfifo(target)
+
+        def hung(signum, frame):
+            raise TimeoutError("atomic_write_bytes blocked on a FIFO")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            atomic_write_bytes(target, data)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert stat.S_ISREG(os.lstat(target).st_mode) and target.read_bytes() == data
+
 
 def test_mock_encoder_import_stays_light():
     code = ("import sys, pacebench.mock_encoder; "
             "print(sorted({'pacebench.dataset', 'json'} & set(sys.modules)))")
+    src = str(Path(pacebench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_hashlib():
+    # hashlib loads OpenSSL, about 3 ms and 3.5 MB that every start-up would pay;
+    # the report cache imports it when it first hashes a file
+    code = ("import sys, pacebench.cli; "
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
     src = str(Path(pacebench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

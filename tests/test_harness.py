@@ -347,6 +347,19 @@ class TestChildOutput:
         assert record.output_size_bytes == 240_000
         assert list(scratch.iterdir()) == []
 
+    @pytest.mark.parametrize("given_output_path", [True, False])
+    def test_file_mode_encoder_writing_nothing_fails(self, source_seq, tmp_path, monkeypatch,
+                                                     given_output_path):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        profile = EncoderProfile("silent", ("true", "{input}", "{output}", "{bitrate_kbps}"),
+                                 input_mode="file")
+        output = {"output_path": tmp_path / "o.bin"} if given_output_path else {}
+        with pytest.raises(EncoderRunError, match="produced no output file"):
+            run_unpaced(profile, source_seq, 800, **output)
+        assert list(scratch.iterdir()) == []
+
     def test_runs_leave_no_open_descriptors(self, quick_seq, tmp_path):
         before = len(os.listdir("/proc/self/fd"))
         run_unpaced(mock_profile("a"), quick_seq, 800, output_path=tmp_path / "a.bin")
@@ -446,6 +459,33 @@ class TestRecordPersistence:
                            match=f"^{re.escape(str(path))}: malformed run record: "
                                  f"{re.escape(field)} must be "):
             load_run_record(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("achieved_bitrate_kbps", float("nan")), ("achieved_bitrate_kbps", float("inf")),
+        ("achieved_bitrate_kbps", -1), ("wall_time_s", -0.5), ("throughput_fps", -1.0),
+        ("output_size_bytes", -1), ("frames_in", -1), ("target_bitrate_kbps", 0),
+        ("target_bitrate_kbps", -800.0), ("target_bitrate_kbps", float("nan")),
+        ("pacing.total_duration_s", float("nan")), ("pacing.blocked_time_s", float("inf")),
+        ("pacing.start_epoch", float("-inf")),
+    ])
+    def test_number_out_of_range_is_named(self, tmp_path, field, value):
+        data = self._paced_record_dict()
+        owner, _, key = field.rpartition(".")
+        (data[owner] if owner else data)[key] = value
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(InvalidInputError,
+                           match=f"^{re.escape(str(path))}: malformed run record: "
+                                 f"{re.escape(field)} must "):
+            load_run_record(path)
+
+    def test_lateness_values_and_exit_status_are_not_range_checked(self, tmp_path):
+        data = {**self._paced_record_dict(), "exit_status": -9}
+        data["pacing"]["lateness_per_frame"] = [float("nan"), -1.0]
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(data))
+        record = load_run_record(path)
+        assert record.exit_status == -9 and record.pacing.lateness_per_frame[1] == -1.0
 
     def test_every_bad_field_at_once_is_refused(self, tmp_path):
         data = {**self._paced_record_dict(), "target_bitrate_kbps": "800",
