@@ -253,7 +253,7 @@ REPORT_CACHE_NAME = "report.cache"
 # Bump whenever an entry's layout, or what load_run_record or
 # parse_metric_report accepts, changes: an entry made under the old rules
 # must not be reused under the new ones.
-_REPORT_CACHE_VERSION = 1
+_REPORT_CACHE_VERSION = 2
 
 
 def _record_entry(record: RunRecord) -> dict:

@@ -22,7 +22,7 @@ from .errors import (
     TruncationError,
     Y4mParseError,
 )
-from .ioutil import load_json
+from .ioutil import INTEGER, NUMBER, STRING, load_json, optional, typed_fields
 from .pacer import FileSpan
 
 
@@ -39,19 +39,11 @@ _I420_COLORSPACES = {"420", "420jpeg", "420mpeg2", "420paldv"}
 _MAX_HEADER_LINE = 4096
 _MAX_FRAME_LINE = 1024
 
-MANIFEST_REQUIRED_KEYS = (
-    "name",
-    "short_name",
-    "path",
-    "fps_num",
-    "fps_den",
-    "width",
-    "height",
-    "pixel_format",
-    "frame_count",
-)
-_MANIFEST_INT_KEYS = ("fps_num", "fps_den", "width", "height", "frame_count")
-_MANIFEST_STR_KEYS = ("name", "short_name", "path", "pixel_format")
+_MANIFEST_FIELDS = {
+    "name": STRING, "short_name": STRING, "path": STRING, "fps_num": INTEGER,
+    "fps_den": INTEGER, "width": INTEGER, "height": INTEGER, "pixel_format": STRING,
+    "frame_count": INTEGER, "duration_s": optional(NUMBER),
+}
 
 
 def frame_byte_size(width: int, height: int, fmt: PixelFormat = PixelFormat.I420_8BIT) -> int:
@@ -352,35 +344,13 @@ def load_manifest(path: str | Path) -> list[VideoSequence]:
         if not isinstance(entry, dict):
             raise ManifestError(f"entry #{i}: manifest entries must be JSON objects")
         label = entry["short_name"] if isinstance(entry.get("short_name"), str) else f"entry #{i}"
-        missing = [k for k in MANIFEST_REQUIRED_KEYS if k not in entry]
-        if missing:
-            raise ManifestError(f"{label}: missing key(s) {', '.join(missing)}")
-        for key in _MANIFEST_INT_KEYS:
-            if type(entry[key]) is not int:  # not bool, nor a float such as 4.0
-                raise ManifestError(f"{label}: {key} must be an integer, got {entry[key]!r}")
-        for key in _MANIFEST_STR_KEYS:
-            if not isinstance(entry[key], str):
-                raise ManifestError(f"{label}: {key} must be a string, got {entry[key]!r}")
-        duration = entry.get("duration_s")
-        if duration is not None and type(duration) not in (int, float):
-            raise ManifestError(f"{label}: duration_s must be a number, got {duration!r}")
-        source = Path(entry["path"])
-        if not source.is_absolute():
-            source = path.parent / source
         try:
-            seq = VideoSequence(
-                name=entry["name"],
-                short_name=entry["short_name"],
-                fps_num=entry["fps_num"],
-                fps_den=entry["fps_den"],
-                width=entry["width"],
-                height=entry["height"],
-                frame_count=entry["frame_count"],
-                pixel_format=entry["pixel_format"],
-                duration_s=duration,
-                path=source,
-            )
-        except (ValueError, OverflowError, InvalidGeometryError) as exc:
+            fields = typed_fields(entry, _MANIFEST_FIELDS)
+            fields["path"] = path.parent / fields["path"]  # an absolute path stays as it is
+            seq = VideoSequence(**fields)
+        except KeyError as exc:
+            raise ManifestError(f"{label}: missing key {exc}") from exc
+        except (TypeError, ValueError, OverflowError, InvalidGeometryError) as exc:
             raise ManifestError(f"{label}: {exc}") from exc
         if seq.short_name in seen:
             raise ManifestError(f"duplicate short_name '{seq.short_name}'")

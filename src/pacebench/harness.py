@@ -53,7 +53,8 @@ from .errors import (
     InvalidInputError,
     TemplateError,
 )
-from .ioutil import JSON_NUMBER, atomic_write_text, load_json, typed_fields
+from .ioutil import (INTEGER, NUMBER, OBJECT, STRING, array_of, atomic_write_text, load_json,
+                     optional, typed_fields)
 from .pacer import PacingReport, write_all
 
 log = logging.getLogger(__name__)
@@ -133,6 +134,11 @@ def _substitute_tokens(tokens: Sequence[str], values: Mapping[str, str], context
     return [_PLACEHOLDER_RE.sub(replace, token) for token in tokens]
 
 
+# the name is checked by EncoderProfile itself, which also refuses an empty one
+_PROFILE_FIELDS = {"command_template": array_of(STRING), "input_mode": optional(STRING),
+                   "output_mode": optional(STRING)}
+
+
 @dataclass(frozen=True)
 class EncoderProfile:
     """A templated external-encoder invocation.
@@ -173,16 +179,13 @@ class EncoderProfile:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "EncoderProfile":
+        """A profile from its JSON form; an absent or null mode takes its default."""
+        name = data.get("name")
         try:
-            return cls(
-                name=data["name"],
-                command_template=_string_array(f"profile '{data['name']}'", "command_template",
-                                               data["command_template"]),
-                input_mode=InputMode(data.get("input_mode", "stdin_raw")),
-                output_mode=OutputMode(data.get("output_mode", "file")),
-            )
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"invalid encoder profile: {exc}") from exc
+            fields = typed_fields(data, _PROFILE_FIELDS)
+            return cls(name, **{k: v for k, v in fields.items() if v is not None})
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid encoder profile {name!r}: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {
@@ -216,9 +219,10 @@ def render_command(
 
 
 _RECORD_FIELDS = {
-    "profile_name": (str,), "sequence_short_name": (str,), "target_bitrate_kbps": JSON_NUMBER,
-    "wall_time_s": JSON_NUMBER, "frames_in": (int,), "throughput_fps": JSON_NUMBER,
-    "output_size_bytes": (int,), "achieved_bitrate_kbps": JSON_NUMBER, "exit_status": (int,),
+    "profile_name": STRING, "sequence_short_name": STRING, "target_bitrate_kbps": NUMBER,
+    "mode": STRING, "wall_time_s": NUMBER, "frames_in": INTEGER, "throughput_fps": NUMBER,
+    "output_size_bytes": INTEGER, "achieved_bitrate_kbps": NUMBER, "exit_status": INTEGER,
+    "pacing": optional(OBJECT),
 }
 _NON_NEGATIVE_RECORD_FIELDS = ("wall_time_s", "frames_in", "throughput_fps", "output_size_bytes",
                                "achieved_bitrate_kbps")
@@ -269,11 +273,10 @@ class RunRecord:
         if fields["target_bitrate_kbps"] <= 0:
             raise ValueError(f"target_bitrate_kbps must be positive, "
                              f"got {fields['target_bitrate_kbps']!r}")
-        pacing = data.get("pacing")
-        if pacing is not None and type(pacing) is not dict:
-            raise TypeError(f"pacing must be an object or null, got {pacing!r:.40}")
-        return cls(**fields, mode=RunMode(data["mode"]),
-                   pacing=None if pacing is None else PacingReport.from_dict(pacing))
+        fields["mode"] = RunMode(fields["mode"])
+        if fields["pacing"] is not None:
+            fields["pacing"] = PacingReport.from_dict(fields["pacing"])
+        return cls(**fields)
 
 
 def achieved_bitrate(output_size_bytes: int, duration_s: float) -> float:
@@ -536,51 +539,35 @@ class BenchmarkConfig:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
 
 
-def _string_array(where: str | Path, key: str, value) -> tuple[str, ...]:
-    """A config value that must be a JSON array of strings, as a tuple."""
-    if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
-        raise ConfigError(f"{where}: {key} must be an array of strings, got {value!r}")
-    return tuple(value)
+_CONFIG_FIELDS = {
+    "profiles": array_of(OBJECT), "sequences": array_of(STRING), "bitrates_kbps": array_of(NUMBER),
+    "modes": optional(array_of(STRING)), "output_dir": STRING, "repetitions": optional(INTEGER),
+    "manifest": optional(STRING), "metric_command": optional(array_of(STRING)),
+}
 
 
 def load_benchmark_config(path: str | Path) -> BenchmarkConfig:
-    """Load a benchmark config; relative paths resolve against the config file."""
+    """Load a benchmark config; relative paths resolve against the config file.
+
+    An absent or null ``modes`` means both, ``repetitions`` 1, ``manifest``
+    none, and ``metric_command`` (or an empty one) no metric tool.
+    """
     path = Path(path)
     data = load_json(path, ConfigError, dict)
     try:
-        profiles = tuple(EncoderProfile.from_dict(p) for p in data["profiles"])
-        bitrates = data["bitrates_kbps"]
-        if not isinstance(bitrates, list) or any(type(b) not in (int, float) for b in bitrates):
-            raise ConfigError(f"{path}: bitrates_kbps must be an array of numbers, got {bitrates!r}")
-        repetitions = data.get("repetitions", 1)
-        if type(repetitions) is not int:  # not bool, nor a float such as 2.7
-            raise ConfigError(f"{path}: repetitions must be an integer, got {repetitions!r}")
-        metric_command = data.get("metric_command")
-        if metric_command is not None:
-            metric_command = _string_array(path, "metric_command", metric_command) or None
-        config = BenchmarkConfig(
-            profiles=profiles,
-            sequences=_string_array(path, "sequences", data["sequences"]),
-            bitrates_kbps=tuple(bitrates),
-            modes=_string_array(path, "modes", data.get("modes", ["paced", "unpaced"])),
-            output_dir=Path(data["output_dir"]),
-            repetitions=repetitions,
-            manifest=Path(data["manifest"]) if data.get("manifest") else None,
-            metric_command=metric_command,
-        )
+        fields = typed_fields(data, _CONFIG_FIELDS)
+        fields["profiles"] = [EncoderProfile.from_dict(p) for p in fields["profiles"]]
+        if fields["modes"] is None:
+            fields["modes"] = (RunMode.PACED, RunMode.UNPACED)
+        fields["output_dir"] = path.parent / fields["output_dir"]
+        if fields["manifest"] is not None:
+            fields["manifest"] = path.parent / fields["manifest"]
+        fields["metric_command"] = fields["metric_command"] or None
+        return BenchmarkConfig(**{k: v for k, v in fields.items() if v is not None})
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-    def resolve(p: Path | None) -> Path | None:
-        if p is None or p.is_absolute():
-            return p
-        return path.parent / p
-
-    object.__setattr__(config, "output_dir", resolve(config.output_dir))
-    object.__setattr__(config, "manifest", resolve(config.manifest))
-    return config
 
 
 def run_basename(profile_name: str, seq_name: str, bitrate_kbps, mode: RunMode, rep: int) -> str:

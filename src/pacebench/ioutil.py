@@ -10,15 +10,36 @@ import os
 import stat
 import tempfile
 from pathlib import Path
-from typing import Callable, Collection, Iterable
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple
 
 from .errors import ComputationError
 
-_JSON_TYPE_NAMES = {dict: "object", list: "array"}
 
-JSON_NUMBER = (int, float)  # for typed_fields, where a JSON true or false is no number
-_FIELD_TYPE_NAMES = {(str,): "a string", JSON_NUMBER: "a number", (int,): "an integer",
-                     (list,): "an array"}
+class Field(NamedTuple):
+    """What ``typed_fields`` accepts for one key. Types match exactly: a bool is no int."""
+
+    types: tuple[type, ...]
+    items: tuple[type, ...] | None = None  # for an array, the types of its elements
+    optional: bool = False  # an absent key and a null both read as None
+
+
+STRING = Field((str,))
+NUMBER = Field((int, float))
+INTEGER = Field((int,))
+ARRAY = Field((list,))
+OBJECT = Field((dict,))
+
+_TYPE_NAMES = {STRING.types: ("a string", "strings"), NUMBER.types: ("a number", "numbers"),
+               INTEGER.types: ("an integer", "integers"), ARRAY.types: ("an array", "arrays"),
+               OBJECT.types: ("an object", "objects")}
+
+
+def array_of(element: Field) -> Field:
+    return Field(ARRAY.types, element.types)
+
+
+def optional(field: Field) -> Field:
+    return field._replace(optional=True)
 
 
 def load_json(path: str | Path, error: type[Exception], expect: type, data: bytes | None = None):
@@ -36,19 +57,34 @@ def load_json(path: str | Path, error: type[Exception], expect: type, data: byte
     except (ValueError, RecursionError) as exc:
         raise error(f"{path}: not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(value, expect):
-        raise error(f"{path}: top level must be a JSON {_JSON_TYPE_NAMES[expect]}")
+        raise error(f"{path}: top level must be {_TYPE_NAMES[(expect,)][0]}")
     return value
 
 
-def typed_fields(data: dict, fields: dict[str, tuple[type, ...]], where: str = "") -> dict:
-    """*data*'s value for each key of *fields*. A value of none of the key's types
-    raises TypeError naming the field as *where* + key, a number that is not
-    finite ValueError, and a missing field KeyError."""
+def typed_fields(data: dict, fields: Mapping[str, Field], where: str = "") -> dict:
+    """The value of each key of the field table *fields* in the JSON object
+    *data*, checked against its ``Field``; *where* + key names it in errors.
+
+    A missing key raises KeyError, unless the field is optional: then an
+    absent key and a null both read as None. A value of another JSON type, or
+    an array with an element of another type, raises TypeError, and a number
+    that is not finite ValueError. Array elements are checked for type only.
+    A *data* that is no object raises TypeError.
+    """
+    if type(data) is not dict:
+        raise TypeError(f"expected a JSON object, got {data!r:.40}")
     values = {}
-    for key, types in fields.items():
-        value = values[key] = data[key]
-        if type(value) not in types:
-            raise TypeError(f"{where}{key} must be {_FIELD_TYPE_NAMES[types]}, "
+    for key, (types, items, is_optional) in fields.items():
+        value = values[key] = data.get(key)
+        if value is None and is_optional:
+            continue
+        if type(value) not in types or (
+                items is not None and not all(type(item) in items for item in value)):
+            if key not in data:
+                raise KeyError(key)
+            kind = (_TYPE_NAMES[types][0] if items is None
+                    else f"an array of {_TYPE_NAMES[items][1]}")
+            raise TypeError(f"{where}{key} must be {kind}{' or null' if is_optional else ''}, "
                             f"got {value!r:.40}")
         if type(value) is float and not math.isfinite(value):
             raise ValueError(f"{where}{key} must be finite, got {value!r}")

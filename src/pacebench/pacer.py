@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, NamedTuple
 
 from .errors import DeliveryAbortedError, InvalidInputError, InvalidRateError, TruncationError
-from .ioutil import JSON_NUMBER, typed_fields
+from .ioutil import ARRAY, INTEGER, NUMBER, typed_fields
 
 # How long before each deadline the sleep ends and the busy-wait begins.
 # Every frame spins for what is left of the window after it wakes, so a wider
@@ -73,9 +73,8 @@ class PacingSchedule:
         return self.start_epoch + k * self.frame_interval_s
 
 
-_REPORT_FIELDS = {"frames_sent": (int,), "total_duration_s": JSON_NUMBER,
-                  "lateness_per_frame": (list,), "blocked_time_s": JSON_NUMBER,
-                  "start_epoch": JSON_NUMBER}
+_REPORT_FIELDS = {"frames_sent": INTEGER, "total_duration_s": NUMBER, "lateness_per_frame": ARRAY,
+                  "blocked_time_s": NUMBER, "start_epoch": NUMBER}
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,8 @@ def _check_score(value, what: str) -> None:
 
 
 def _normalize_external(data: dict) -> dict:
-    """Normalize the common external VMAF log layout to the native schema."""
+    """Normalize the common external VMAF log layout to the native schema.
+    Every entry of a non-empty ``frames`` must be an object with ``metrics.vmaf``."""
     native: dict = {"metric": "vmaf"}
     pooled = data.get("pooled_metrics")
     if isinstance(pooled, dict):
@@ -97,7 +98,7 @@ def _normalize_external(data: dict) -> dict:
         except (KeyError, TypeError) as exc:
             raise MetricSchemaError(f"malformed pooled_metrics: {exc}") from exc
     frames = data.get("frames")
-    if isinstance(frames, list) and frames and isinstance(frames[0], dict):
+    if frames:
         try:
             native["frames"] = [frame["metrics"]["vmaf"] for frame in frames]
         except (KeyError, TypeError) as exc:
@@ -113,12 +114,9 @@ def parse_metric_report(path: str | Path, data: bytes | None = None) -> QualityR
     """
     data = load_json(path, MetricSchemaError, dict, data=data)
 
-    is_external = "pooled_metrics" in data or (
-        isinstance(data.get("frames"), list)
-        and data["frames"]
-        and isinstance(data["frames"][0], dict)
-    )
-    if is_external:
+    frames = data.get("frames")
+    if "pooled_metrics" in data or (isinstance(frames, list) and frames
+                                    and isinstance(frames[0], dict)):
         data = _normalize_external(data)
     elif "metric" not in data:
         raise MetricSchemaError(f"{path}: missing 'metric' field")
@@ -132,7 +130,7 @@ def parse_metric_report(path: str | Path, data: bytes | None = None) -> QualityR
     if frames is not None and not isinstance(frames, list):
         raise MetricSchemaError(f"{path}: 'frames' must be a list, got {frames!r}")
     return QualityReport(
-        metric_name=str(data.get("metric", "vmaf")),
+        metric_name=data["metric"],
         pooled_score=pooled,
         per_frame_scores=tuple(frames) if frames is not None else None,
     )

@@ -167,7 +167,7 @@ def render(matrix: ComparisonMatrix, fmt: str) -> str:
     Markdown rounds to 2 decimals and marks undefined cells with an em dash;
     CSV keeps full precision and leaves undefined cells empty.
     """
-    if fmt in ("md", "markdown"):
+    if fmt == "md":
         return _render_markdown(matrix)
     if fmt == "csv":
         return _render_csv(matrix)

@@ -515,6 +515,36 @@ class TestReportScoreCache:
         assert load_calls == [name]
         assert json.loads(cache_path.read_text())["entries"][name] == good
 
+    def test_version_one_cache_is_ignored(self, tmp_path, parse_calls, load_calls):
+        manifest, runs = _write_report_campaign(tmp_path)
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        cache_path = runs / cli.REPORT_CACHE_NAME
+        cache = json.loads(cache_path.read_text())
+        assert cache["version"] == 2
+        name = "a__SY25__800__unpaced__rep0.quality.json"
+        cache["entries"][name][1] = ["5", 40.0]  # what version 1 made of {"metric": 5, ...}
+        cache_path.write_text(json.dumps({**cache, "version": 1}))
+        parse_calls.clear()
+        load_calls.clear()
+        assert _report(manifest, runs, tmp_path / "m.md") == 0
+        assert len(parse_calls) == self.LOGS and len(load_calls) == self.RECORDS
+        cache = json.loads(cache_path.read_text())
+        assert cache["version"] == 2 and cache["entries"][name][1] == ["vmaf", 40.0]
+
+    @pytest.mark.parametrize("payload", [
+        {"metric": 5, "pooled": 40.0},
+        {"pooled_metrics": {"vmaf": {"mean": 40.0}}, "frames": [39, 41]},
+    ], ids=["metric-not-a-string", "external-bare-number-frames"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_bad_quality_log_exits_one(self, tmp_path, capsys, payload, warm):
+        manifest, runs = _write_report_campaign(tmp_path)
+        if warm:
+            assert _report(manifest, runs, tmp_path / "m.md") == 0
+        _write_log(runs / "a__SY25__800__unpaced__rep0.quality.json", payload)
+        capsys.readouterr()
+        assert _report(manifest, runs, tmp_path / "m.md") == 1
+        assert capsys.readouterr().err.startswith("error: metric-schema: ")
+
     def test_record_corrupted_after_caching_exits_one_naming_it(self, tmp_path, capsys):
         manifest, runs = _write_report_campaign(tmp_path)
         assert _report(manifest, runs, tmp_path / "m.md") == 0

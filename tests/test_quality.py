@@ -75,6 +75,22 @@ class TestParseMetricReport:
         assert report.pooled_score == 85.0
         assert report.per_frame_scores == (80.0, 90.0)
 
+    @pytest.mark.parametrize("frames", [[1, 2], [{"metrics": {"vmaf": 50.0}}, 50], 5, "x"])
+    def test_external_frames_that_are_not_objects_are_refused(self, tmp_path, frames):
+        payload = {"pooled_metrics": {"vmaf": {"mean": 50}}, "frames": frames}
+        with pytest.raises(MetricSchemaError, match="malformed per-frame metrics"):
+            parse_metric_report(_write_report(tmp_path, payload))
+
+    def test_external_empty_frames_leave_the_pooled_score(self, tmp_path):
+        payload = {"pooled_metrics": {"vmaf": {"mean": 50}}, "frames": []}
+        report = parse_metric_report(_write_report(tmp_path, payload))
+        assert (report.pooled_score, report.per_frame_scores) == (50.0, None)
+
+    @pytest.mark.parametrize("metric", [5, None, ["v"], True])
+    def test_metric_name_must_be_a_json_string(self, tmp_path, metric):
+        with pytest.raises(MetricSchemaError, match="metric name must be a string"):
+            parse_metric_report(_write_report(tmp_path, {"metric": metric, "pooled": 50}))
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("not json at all")
